@@ -60,7 +60,12 @@ from typing import IO, Sequence
 
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.resolve import resolve
-from repro.scenarios.spec import Scenario, canonical_json, scenario_hash
+from repro.scenarios.spec import (
+    Scenario,
+    canonical_json,
+    scenario_hash,
+    splice_campaign,
+)
 from repro.sim.parallel import (
     CompletionTask,
     parallel_latency_vs_load,
@@ -86,10 +91,10 @@ def _open_payload(
 
     Payload rows are the campaign-independent part of a row — what the
     content-addressed store keys by ``scenario_hash`` and what service
-    workers ship back over the wire.  :func:`_with_campaign` stamps the
-    campaign name in; because the final line is ``canonical_json``
-    either way, a row replayed from a payload is byte-identical to a
-    freshly simulated one.
+    workers ship back over the wire.  :func:`_stamped` splices the
+    campaign name into each row's ``canonical_json`` text, so a row
+    replayed from a payload is byte-identical to a freshly simulated
+    one.
 
     Rows of a faulted scenario additionally carry ``fault_fraction``
     (the spec's link-kill fraction — the x-axis of degradation
@@ -170,9 +175,24 @@ def _closed_payload(scenario: Scenario, result: WorkloadResult) -> list[dict]:
     ]
 
 
-def _with_campaign(payload: Sequence[dict], campaign: str) -> list[dict]:
-    """Stamp the campaign name into payload rows (the full row form)."""
-    return [{"campaign": campaign, **row} for row in payload]
+#: One output row as ``(JSONL line, parsed full row)``: both forms are
+#: kept from the moment a row is encoded or decoded, so no row is ever
+#: encoded or parsed twice on its way to the file and the report.
+_Line = tuple[str, dict]
+
+
+def _stamped(
+    payload: Sequence[dict], texts: Sequence[str], campaign: str
+) -> list[_Line]:
+    """Stamp the campaign name into payload rows (the full row form).
+
+    ``texts`` are the rows' ``canonical_json`` encodings; each line is
+    spliced from its text instead of encoding the row again.
+    """
+    return [
+        (splice_campaign(text, row, campaign), {"campaign": campaign, **row})
+        for text, row in zip(texts, payload)
+    ]
 
 
 def metrics_path_for(out_path: Path) -> Path:
@@ -208,8 +228,8 @@ def _metrics_payload(
     return rows
 
 
-def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[str]]:
-    """Raw metrics-sidecar lines grouped by scenario hash, in order.
+def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[_Line]]:
+    """Metrics-sidecar lines (raw and parsed) grouped by scenario hash.
 
     Unlike the main cache there is no per-scenario completeness check
     (a telemetry row count is not knowable up front — short-circuited
@@ -218,7 +238,7 @@ def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[str]]:
     scenario finished, and the runner writes a scenario metrics lines
     before its result rows.
     """
-    by_hash: dict[str, list[str]] = {}
+    by_hash: dict[str, list[_Line]] = {}
     for line in path.read_text().splitlines():
         try:
             row = json.loads(line)
@@ -228,7 +248,7 @@ def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[str]]:
             continue
         if name != campaign_name or not isinstance(h, str):
             continue
-        by_hash.setdefault(h, []).append(line)
+        by_hash.setdefault(h, []).append((line, row))
     return by_hash
 
 
@@ -245,15 +265,13 @@ class _LazyStream:
         #: True once any line was written (survives close()).
         self.wrote = False
 
-    def emit(self, lines) -> None:
+    def emit(self, lines: Sequence[_Line]) -> None:
         if self.path is None or not lines:
             return
         if self._fh is None:
             self._fh = open(self.path, "w")
             self.wrote = True
-        for line in lines:
-            self._fh.write(line + "\n")
-        self._fh.flush()
+        _write_lines(self._fh, lines)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -263,8 +281,8 @@ class _LazyStream:
 
 def _load_cache(
     path: Path, campaign_name: str, scenarios: Sequence[Scenario]
-) -> dict[str, list[str]]:
-    """Raw JSONL lines of *complete* scenarios, keyed by hash.
+) -> dict[str, list[_Line]]:
+    """JSONL lines (raw and parsed) of *complete* scenarios, keyed by hash.
 
     A scenario is complete when every ``row`` index 0..rows-1 is
     present.  Lines that fail to parse (a kill mid-write leaves a
@@ -273,7 +291,7 @@ def _load_cache(
     would survive into the resumed file) are ignored.
     """
     expected = {scenario_hash(s): s.num_rows for s in scenarios}
-    by_hash: dict[str, dict[int, str]] = {}
+    by_hash: dict[str, dict[int, _Line]] = {}
     for line in path.read_text().splitlines():
         try:
             row = json.loads(line)
@@ -285,7 +303,7 @@ def _load_cache(
             continue
         if expected.get(h) != n or not isinstance(i, int) or not 0 <= i < n:
             continue
-        by_hash.setdefault(h, {})[i] = line
+        by_hash.setdefault(h, {})[i] = (line, row)
     return {
         h: [rows[i] for i in range(expected[h])]
         for h, rows in by_hash.items()
@@ -422,11 +440,10 @@ def _write_meta(
     )
 
 
-def _emit(stream: IO[str] | None, rows: list[dict], raw: list[str] | None) -> None:
-    if stream is None:
-        return
-    for line in raw if raw is not None else map(canonical_json, rows):
-        stream.write(line + "\n")
+def _write_lines(stream: IO[str], lines: Sequence[_Line]) -> None:
+    for line, _ in lines:
+        stream.write(line)
+        stream.write("\n")
     stream.flush()
 
 
@@ -546,8 +563,8 @@ def run_campaign(
 
         store = open_store(store)
 
-    cache: dict[str, list[str]] = {}
-    metrics_cache: dict[str, list[str]] = {}
+    cache: dict[str, list[_Line]] = {}
+    metrics_cache: dict[str, list[_Line]] = {}
     tmp_path = (
         out_path.with_name(out_path.name + ".tmp") if out_path is not None else None
     )
@@ -594,14 +611,11 @@ def run_campaign(
             entry = store.get(h)
             if entry is None:
                 continue
-            cache[h] = [
-                canonical_json(r) for r in _with_campaign(entry.rows, campaign.name)
-            ]
+            cache[h] = _stamped(entry.rows, entry.row_texts, campaign.name)
             if entry.metrics:
-                metrics_cache[h] = [
-                    canonical_json(r)
-                    for r in _with_campaign(entry.metrics, campaign.name)
-                ]
+                metrics_cache[h] = _stamped(
+                    entry.metrics, entry.metric_texts, campaign.name
+                )
             pending[i] = False
             origins[h] = "cache"
             cache_source[h] = "store"
@@ -618,24 +632,24 @@ def run_campaign(
     t_campaign = time.perf_counter()
     sims_at_start = simulations_started()
 
-    def _metrics_emit(mrows: list[dict], raw: list[str] | None) -> None:
-        metrics_stream.emit(
-            raw if raw is not None else [canonical_json(r) for r in mrows]
-        )
-        report.metrics_rows.extend(mrows)
-
     stream = open(write_path, "w") if write_path is not None else None
     metrics_stream = _LazyStream(metrics_write_path)
 
+    def _emit_scenario(lines: list[_Line], metrics_lines: list[_Line]) -> None:
+        """Write one scenario's lines and add its rows to the report."""
+        # Metrics lines land before the result rows so a kill between
+        # the two writes leaves the scenario pending (incomplete main
+        # rows), never with lost telemetry.
+        metrics_stream.emit(metrics_lines)
+        report.metrics_rows.extend(row for _, row in metrics_lines)
+        if stream is not None:
+            _write_lines(stream, lines)
+        report.rows.extend(row for _, row in lines)
+
     def _replay_cached(i: int) -> None:
         """Emit scenario ``i`` from the resume/store cache."""
-        raw = cache[hashes[i]]
-        rows = [json.loads(line) for line in raw]
-        report.rows.extend(rows)
+        _emit_scenario(cache[hashes[i]], metrics_cache.get(hashes[i], []))
         report.skipped += 1
-        mraw = metrics_cache.get(hashes[i], [])
-        _metrics_emit([json.loads(line) for line in mraw], mraw)
-        _emit(stream, rows, raw)
         _heartbeat(
             report, progress, event="scenario_cached",
             campaign=campaign.name, scenario=hashes[i],
@@ -646,23 +660,24 @@ def run_campaign(
     def _record_simulated(
         k: int, payload: list[dict], metrics_payload: list[dict]
     ) -> None:
-        """Emit scenario ``k``'s freshly produced payload rows."""
-        rows = _with_campaign(payload, campaign.name)
+        """Emit scenario ``k``'s freshly produced payload rows.
+
+        Each row is encoded exactly once; the JSONL line and the store
+        entry are both built from that text.
+        """
+        texts = [canonical_json(r) for r in payload]
+        metric_texts = [canonical_json(r) for r in metrics_payload]
         report.simulated += 1
         origins[hashes[k]] = "simulated"
-        # Metrics lines land before the result rows so a kill between
-        # the two writes leaves the scenario pending (incomplete main
-        # rows), never with lost telemetry.
-        _metrics_emit(_with_campaign(metrics_payload, campaign.name), None)
-        report.rows.extend(rows)
-        _emit(stream, rows, None)
+        _emit_scenario(
+            _stamped(payload, texts, campaign.name),
+            _stamped(metrics_payload, metric_texts, campaign.name),
+        )
         if store is not None:
             from repro.service.store import StoreEntry
 
             store.put(
-                StoreEntry(
-                    scenario=hashes[k], rows=payload, metrics=metrics_payload
-                )
+                StoreEntry(hashes[k], payload, metrics_payload, texts, metric_texts)
             )
 
     try:

@@ -6,13 +6,16 @@ runner stamps back in on replay) plus the telemetry sidecar rows.  The
 store keys entries by the scenario's stable sha256 hash, so "has this
 exact simulation ever run anywhere?" is one ``get()``.
 
-Integrity is checked on *read*, not trusted from disk: the stored
-payload digest must match a re-computed sha256 of the canonical-JSON
-payload, the row schema must be coherent (row indices, per-row
-scenario hash), and the embedded spec must re-hash to the entry's key.
-An entry failing any check is moved aside into ``quarantine/`` and
-reported as a miss, so a corrupted cache degrades to re-simulation,
-never to wrong rows.
+Each row is encoded once: an entry is assembled from its rows'
+canonical JSON texts, and a read hands the exact stored text of every
+row back next to its parsed dict, so replay never re-encodes a row.
+Integrity is checked on *read*, not trusted from disk: the document
+around the rows must be byte-for-byte canonical, the stored payload
+digest must match a sha256 of the stored payload bytes, the row schema
+must be coherent (row indices, per-row scenario hash), and the
+embedded spec must re-hash to the entry's key.  An entry failing any
+check is moved aside into ``quarantine/`` and reported as a miss, so a
+corrupted cache degrades to re-simulation, never to wrong rows.
 
 Writes are atomic (unique temp file + ``os.replace``), so concurrent
 writers of the same hash race safely: both write byte-identical
@@ -54,31 +57,104 @@ class StoreIntegrityError(Exception):
     """A store entry failed validation (schema, digest, or re-hash)."""
 
 
+_DECODER = json.JSONDecoder()
+
+#: The entry document is ``canonical_json`` of ``{"format", "payload",
+#: "payload_sha256", "scenario"}``, but it is written and read in
+#: pieces: ``_HEAD`` + payload + ``_tail(digest, scenario)``, where the
+#: payload is ``{"metrics":[<row texts>],"rows":[<row texts>]}``.
+_HEAD = '{"format":%d,"payload":' % STORE_FORMAT
+
+
+def _tail(digest, scenario) -> str:
+    return (
+        f',"payload_sha256":{canonical_json(digest)}'
+        f',"scenario":{canonical_json(scenario)}}}'
+    )
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _literal(text: str, pos: int, literal: str) -> int:
+    """Index past ``literal`` at ``text[pos]``; anything else is non-canonical."""
+    if not text.startswith(literal, pos):
+        raise StoreIntegrityError(
+            f"entry is not a canonical format-{STORE_FORMAT} document"
+        )
+    return pos + len(literal)
+
+
+def _scan_array(text: str, pos: int) -> tuple[list, list[str], int]:
+    """Decode the JSON array that opens at ``text[pos]``.
+
+    Returns the elements, their exact source texts, and the index just
+    past the closing ``]``.  Elements must be separated by a bare
+    comma: any whitespace makes the document non-canonical.
+    """
+    pos = _literal(text, pos, "[")
+    values: list = []
+    texts: list[str] = []
+    if text.startswith("]", pos):
+        return values, texts, pos + 1
+    while True:
+        value, end = _DECODER.raw_decode(text, pos)
+        values.append(value)
+        texts.append(text[pos:end])
+        pos = end + 1
+        if text.startswith("]", end):
+            return values, texts, pos
+        _literal(text, end, ",")
+
+
 class StoreEntry:
     """One scenario's cached result payload.
 
     ``rows``/``metrics`` are payload rows — full result/telemetry rows
     minus the ``campaign`` key (see
     :func:`repro.scenarios.runner.run_campaign`), so one entry serves
-    every campaign that contains the scenario.
+    every campaign that contains the scenario.  ``row_texts`` /
+    ``metric_texts`` are their ``canonical_json`` encodings, computed
+    here when the caller has none; the payload, its digest and the
+    entry document are assembled from these texts, and
+    :meth:`from_json` returns the stored texts unchanged.
     """
 
-    __slots__ = ("scenario", "rows", "metrics")
+    __slots__ = ("scenario", "rows", "metrics", "row_texts", "metric_texts")
 
-    def __init__(self, scenario: str, rows: list[dict], metrics: list[dict] | None = None):
+    def __init__(
+        self,
+        scenario: str,
+        rows: list[dict],
+        metrics: list[dict] | None = None,
+        row_texts: list[str] | None = None,
+        metric_texts: list[str] | None = None,
+    ):
         self.scenario = scenario
         self.rows = list(rows)
         self.metrics = list(metrics or [])
+        self.row_texts = (
+            list(row_texts)
+            if row_texts is not None
+            else [canonical_json(r) for r in self.rows]
+        )
+        self.metric_texts = (
+            list(metric_texts)
+            if metric_texts is not None
+            else [canonical_json(r) for r in self.metrics]
+        )
 
-    def payload(self) -> dict:
-        """The digested content: result + telemetry rows."""
-        return {"metrics": self.metrics, "rows": self.rows}
+    def payload_text(self) -> str:
+        """The digested content: canonical JSON of result + telemetry rows."""
+        return '{"metrics":[%s],"rows":[%s]}' % (
+            ",".join(self.metric_texts),
+            ",".join(self.row_texts),
+        )
 
     def digest(self) -> str:
         """sha256 hex digest of the canonical-JSON payload."""
-        return hashlib.sha256(
-            canonical_json(self.payload()).encode("utf-8")
-        ).hexdigest()
+        return _sha256(self.payload_text())
 
     def validate(self) -> None:
         """Raise :class:`StoreIntegrityError` unless the entry is coherent.
@@ -105,9 +181,11 @@ class StoreEntry:
         for i, row in enumerate(self.metrics):
             if not isinstance(row, dict) or row.get("scenario") != self.scenario:
                 raise StoreIntegrityError(f"metrics row {i} is not this scenario's")
+            if "campaign" in row:
+                raise StoreIntegrityError(f"metrics row {i} carries a campaign name")
         try:
             derived = scenario_hash(Scenario.from_dict(self.rows[0]["spec"]))
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, AttributeError) as exc:
             raise StoreIntegrityError(f"embedded spec does not parse: {exc}") from exc
         if derived != self.scenario:
             raise StoreIntegrityError(
@@ -116,44 +194,45 @@ class StoreEntry:
 
     def to_json(self) -> str:
         """Serialize to the on-disk/on-wire entry document."""
-        return canonical_json(
-            {
-                "format": STORE_FORMAT,
-                "payload": self.payload(),
-                "payload_sha256": self.digest(),
-                "scenario": self.scenario,
-            }
-        )
+        payload = self.payload_text()
+        return _HEAD + payload + _tail(_sha256(payload), self.scenario)
 
     @classmethod
     def from_json(cls, text: str, expect: str | None = None) -> "StoreEntry":
         """Parse and fully validate an entry document.
 
-        ``expect`` (the hash the caller looked up) guards against an
-        entry filed under the wrong name.  Raises
-        :class:`StoreIntegrityError` on any parse, digest, schema, or
-        re-hash failure.
+        One ``raw_decode`` pass over the ``metrics`` and ``rows`` arrays
+        yields every row and its exact stored text.  Everything around
+        the rows must equal the canonical document byte for byte, and
+        the digest is checked over the stored payload bytes, so a
+        document that parses but is not what :meth:`to_json` writes is
+        rejected.  ``expect`` (the hash the caller looked up) guards
+        against an entry filed under the wrong name.  Raises
+        :class:`StoreIntegrityError` on any parse, framing, digest,
+        schema, or re-hash failure.
         """
+        # Canonical JSON is pure ASCII (so text offsets are byte
+        # offsets and the payload encodes back to the stored bytes).
+        if not text.isascii():
+            raise StoreIntegrityError("entry is not canonical JSON (non-ASCII)")
+        start = _literal(text, 0, _HEAD)
         try:
-            doc = json.loads(text)
-        except ValueError as exc:
+            pos = _literal(text, start, '{"metrics":')
+            metrics, metric_texts, pos = _scan_array(text, pos)
+            pos = _literal(text, pos, ',"rows":')
+            rows, row_texts, pos = _scan_array(text, pos)
+            end = _literal(text, pos, "}")
+            trailer = json.loads("{" + text[end + 1 :])
+        except (ValueError, RecursionError) as exc:
             raise StoreIntegrityError(f"entry is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != STORE_FORMAT:
-            raise StoreIntegrityError("unknown entry format")
-        payload = doc.get("payload")
-        if not isinstance(payload, dict):
-            raise StoreIntegrityError("entry has no payload")
-        entry = cls(
-            scenario=doc.get("scenario", ""),
-            rows=payload.get("rows", []),
-            metrics=payload.get("metrics", []),
-        )
-        if expect is not None and entry.scenario != expect:
-            raise StoreIntegrityError(
-                f"entry is keyed {entry.scenario}, expected {expect}"
-            )
-        if entry.digest() != doc.get("payload_sha256"):
+        digest, scenario = trailer.get("payload_sha256"), trailer.get("scenario")
+        if text[end:] != _tail(digest, scenario):
+            raise StoreIntegrityError("entry trailer is not canonical")
+        if expect is not None and scenario != expect:
+            raise StoreIntegrityError(f"entry is keyed {scenario}, expected {expect}")
+        if _sha256(text[start:end]) != digest:
             raise StoreIntegrityError("payload digest mismatch (bit rot?)")
+        entry = cls(scenario, rows, metrics, row_texts, metric_texts)
         entry.validate()
         return entry
 
@@ -200,12 +279,15 @@ class FileResultStore(ResultStore):
     def get(self, scenario: str) -> StoreEntry | None:
         path = self._object_path(scenario)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            return StoreEntry.from_json(text, expect=scenario)
-        except StoreIntegrityError:
+            # The file is exactly the (pure-ASCII) document and "\n".
+            if not data.endswith(b"\n"):
+                raise StoreIntegrityError("entry file is truncated")
+            return StoreEntry.from_json(data[:-1].decode("ascii"), expect=scenario)
+        except (StoreIntegrityError, UnicodeDecodeError):
             self._quarantine(path)
             return None
 
@@ -219,7 +301,9 @@ class FileResultStore(ResultStore):
         tmp = path.with_name(
             f".{entry.scenario}.{os.getpid()}-{threading.get_ident()}.tmp"
         )
-        tmp.write_text(entry.to_json() + "\n", encoding="utf-8")
+        # Bytes, not text mode: get() reads back exactly document + "\n"
+        # on every platform (no newline translation).
+        tmp.write_bytes(entry.to_json().encode("ascii") + b"\n")
         os.replace(tmp, path)
 
     def _quarantine(self, path: Path) -> None:

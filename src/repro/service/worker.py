@@ -42,16 +42,23 @@ def _connect(host: str, port: int, retry_for: float) -> socket.socket:
 
     Workers routinely start before (or between) coordinators, so a
     refused/unreachable connection is retried for ``retry_for``
-    seconds before giving up.
+    seconds before giving up.  The 10 s timeout bounds only the
+    connect: the returned socket blocks without one, because an idle
+    worker may wait any time for its next lease.  Liveness needs no
+    timeout here: the coordinator watches this worker's heartbeats, and
+    a coordinator that goes away shows up as EOF.
     """
     deadline = time.monotonic() + retry_for
     while True:
         try:
-            return socket.create_connection((host, port), timeout=10.0)
+            sock = socket.create_connection((host, port), timeout=10.0)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(0.2)
+            continue
+        sock.settimeout(None)
+        return sock
 
 
 class _HeartbeatThread:

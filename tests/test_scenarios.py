@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.scenarios import (
     Campaign,
@@ -16,6 +17,7 @@ from repro.scenarios import (
     canonical_json,
     scenario_hash,
 )
+from repro.scenarios.spec import splice_campaign
 from repro.sim.config import SimConfig
 
 CFG = SimConfig(warmup_cycles=20, measure_cycles=60, drain_cycles=200)
@@ -106,6 +108,45 @@ class TestHashing:
 
     def test_canonical_json_is_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
+
+
+#: Row keys: the ones that sort right around "campaign", the real
+#: result-row keys on either side of it, non-ASCII, and anything else.
+ROW_KEYS = (
+    st.sampled_from(
+        ["cam", "campaigns", "campaign_", "campaigm", "campaigo", "channel_load",
+         "accepted", "avg_message_latency", "", "Z", "é", "ü_load", "\U0001f600"]
+    )
+    | st.text(max_size=10)
+).filter(lambda k: k != "campaign")
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestSpliceCampaign:
+    @given(
+        row=st.dictionaries(ROW_KEYS, VALUES, max_size=8),
+        name=st.text(max_size=12),
+    )
+    @example(row={}, name="fig6")
+    @example(row={"accepted": float("nan"), "cam": None, "campaigns": True}, name="é")
+    @example(row={"channel_load": [1e-05, 0.5]}, name="")
+    def test_splice_equals_encoding_the_stamped_row(self, row, name):
+        assert splice_campaign(canonical_json(row), row, name) == canonical_json(
+            {"campaign": name, **row}
+        )
+
+    def test_a_row_with_a_campaign_is_refused(self):
+        row = {"campaign": "old", "row": 0}
+        with pytest.raises(ValueError, match="campaign"):
+            splice_campaign(canonical_json(row), row, "new")
 
 
 class TestValidation:

@@ -3,18 +3,27 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import socket
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_campaign_runner import closed_scenario, mixed_campaign, open_scenario
 from test_fault_differential import FAULT, faulted_scenario
-from repro.scenarios import Campaign, FaultSpec, run_campaign, scenario_hash
+from repro.scenarios import (
+    Campaign,
+    FaultSpec,
+    canonical_json,
+    run_campaign,
+    scenario_hash,
+)
 from repro.service.coordinator import ServiceConfig
 from repro.service.protocol import (
     MAX_MESSAGE_BYTES,
@@ -32,7 +41,7 @@ from repro.service.store import (
     StoreIntegrityError,
     open_store,
 )
-from repro.service.worker import parse_address, serve_worker
+from repro.service.worker import _connect, parse_address, serve_worker
 from repro.sim.parallel import simulations_started
 from repro.sim.telemetry import TelemetrySpec
 
@@ -53,6 +62,21 @@ def campaign_files(tmp_path, name):
     out = tmp_path / f"{name}.jsonl"
     return out, out.with_name(out.name + ".metrics.jsonl"), out.with_name(
         out.name + ".meta.json"
+    )
+
+
+def format1_document(entry: StoreEntry) -> str:
+    """Store format 1 as one ``canonical_json`` call over the whole entry."""
+    payload = {"metrics": entry.metrics, "rows": entry.rows}
+    return canonical_json(
+        {
+            "format": 1,
+            "payload": payload,
+            "payload_sha256": hashlib.sha256(
+                canonical_json(payload).encode("utf-8")
+            ).hexdigest(),
+            "scenario": entry.scenario,
+        }
     )
 
 
@@ -206,12 +230,19 @@ class TestStore:
             StoreEntry(h, [{**base, "row": 3}]).validate()
         with pytest.raises(StoreIntegrityError, match="campaign"):
             StoreEntry(h, [{**base, "campaign": "x"}]).validate()
+        with pytest.raises(StoreIntegrityError, match="metrics row 0 carries"):
+            StoreEntry(h, [base], [{"scenario": h, "campaign": "x"}]).validate()
         # A different label is a different scenario hash (the label is
         # part of the serialized spec), so a swapped-in spec must trip
         # the re-hash check.
         other = {**base, "spec": open_scenario("other-label").to_dict()}
         with pytest.raises(StoreIntegrityError, match="hashes to"):
             StoreEntry(h, [other]).validate()
+        # A spec whose sub-spec has the wrong JSON type is a structured
+        # integrity error, not an AttributeError out of the reader.
+        bad_fault = {**base, "spec": {**s.to_dict(), "fault": [1]}}
+        with pytest.raises(StoreIntegrityError, match="does not parse"):
+            StoreEntry(h, [bad_fault]).validate()
 
     def test_memory_store_and_open_store_dispatch(self, tmp_path):
         mem = open_store("memory:")
@@ -233,6 +264,114 @@ class TestStore:
         report = run_campaign(campaign, out=tmp_path / "b.jsonl", store=store)
         assert report.store_hits == 4
         assert simulations_started() - before == 0
+
+    def test_entry_documents_pin_store_format_1(self, tmp_path):
+        store = FileResultStore(tmp_path / "store")
+        probed = telemetry_campaign().scenarios[0]
+        campaign = Campaign("pin", [open_scenario(), closed_scenario(), probed])
+        run_campaign(campaign, store=store)
+        for s in campaign.scenarios:
+            h = scenario_hash(s)
+            entry = store.get(h)
+            assert entry is not None
+            document = format1_document(entry)
+            assert entry.to_json() == document
+            assert store._object_path(h).read_text() == document + "\n"
+            assert entry.row_texts == [canonical_json(r) for r in entry.rows]
+            assert entry.metric_texts == [canonical_json(r) for r in entry.metrics]
+            # An entry built from dicts alone encodes to the same bytes.
+            rebuilt = StoreEntry(h, entry.rows, entry.metrics)
+            assert rebuilt.to_json() == document
+            assert rebuilt.digest() == entry.digest()
+        assert store.get(scenario_hash(probed)).metrics
+        assert store.get(scenario_hash(closed_scenario())).rows[0]["engine"] == "closed"
+
+    @pytest.mark.parametrize("form", ["indent", "reordered", "trailing"])
+    def test_non_canonical_document_is_quarantined(self, tmp_path, form):
+        campaign = telemetry_campaign()
+        store_root = tmp_path / "store"
+        cold, cold_metrics, _ = campaign_files(tmp_path, "cold")
+        run_campaign(campaign, out=cold, store=store_root)
+        victim = FileResultStore(store_root)._object_path(
+            scenario_hash(campaign.scenarios[0])
+        )
+        doc = json.loads(victim.read_text())
+        if form == "indent":
+            text = json.dumps(doc, indent=1, sort_keys=True)
+        elif form == "reordered":
+            text = json.dumps(dict(reversed(doc.items())), separators=(",", ":"))
+        else:
+            text = canonical_json(doc) + " \t"
+        # Each form parses to the very same document: only its bytes
+        # are not the ones a store writes.
+        assert json.loads(text) == doc
+        victim.write_text(text + "\n")
+        warm, warm_metrics, _ = campaign_files(tmp_path, "warm")
+        report = run_campaign(campaign, out=warm, store=store_root)
+        assert report.simulated == 1 and report.store_hits == 1
+        assert warm.read_bytes() == cold.read_bytes()
+        assert warm_metrics.read_bytes() == cold_metrics.read_bytes()
+        assert len(FileResultStore(store_root).quarantined()) == 1
+        assert victim.read_text() == canonical_json(doc) + "\n"
+
+
+@st.composite
+def damaged(draw, doc, pieces):
+    """``doc`` with one flip, truncation or insertion, often in the frame."""
+    n = len(doc)
+    i = draw(st.integers(0, n) | st.integers(0, 40) | st.integers(n - 160, n))
+    kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+    if kind == "truncate":
+        return doc[:i]
+    piece = draw(pieces)
+    if kind == "flip":
+        return doc[:i] + piece[:1] + doc[i + 1 :]
+    return doc[:i] + piece + doc[i:]
+
+
+@pytest.fixture(scope="module")
+def probed_entry() -> tuple[str, str]:
+    """(hash, document) of a small entry with result and telemetry rows."""
+    store = MemoryResultStore()
+    scenario = telemetry_campaign().scenarios[0]
+    run_campaign(Campaign("fuzz", [scenario]), store=store)
+    h = scenario_hash(scenario)
+    return h, store.get(h).to_json()
+
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+class TestStoreReaderFuzz:
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_document_is_rejected_or_equal(self, probed_entry, data):
+        h, doc = probed_entry
+        text = data.draw(damaged(doc, st.text(min_size=1, max_size=3)))
+        try:
+            entry = StoreEntry.from_json(text, expect=h)
+        except StoreIntegrityError:
+            return
+        assert entry.to_json() == doc
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_file_is_quarantined(self, probed_entry, data):
+        h, doc = probed_entry
+        original = (doc + "\n").encode("ascii")
+        raw = data.draw(damaged(original, st.binary(min_size=1, max_size=3)))
+        with tempfile.TemporaryDirectory() as root:
+            store = FileResultStore(root)
+            path = store._object_path(h)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(raw)
+            entry = store.get(h)
+            if raw == original:
+                assert entry is not None and entry.to_json() == doc
+            else:
+                assert entry is None
+                assert store.quarantined() == [path.name]
+                assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +460,16 @@ class TestProtocol:
         assert parse_address(":7077") == ("127.0.0.1", 7077)
         with pytest.raises(ValueError):
             parse_address("no-port")
+
+    def test_connected_worker_socket_blocks_without_timeout(self):
+        # An idle worker may wait any time for a lease; a socket timeout
+        # would kill it ("serve-worker: timed out") while it waits.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            sock = _connect(*server.getsockname()[:2], retry_for=1.0)
+            try:
+                assert sock.gettimeout() is None
+            finally:
+                sock.close()
 
 
 # ---------------------------------------------------------------------------
