@@ -6,11 +6,14 @@ Each figure family from the paper maps to one small spec dataclass —
 :class:`GroupedBarFigure` (workload completion times) — with two
 backends:
 
-- ``render_svg()`` is a pure-Python renderer with **byte-deterministic
-  output**: fixed coordinate precision, fixed styling, no timestamps,
-  every iteration in input order.  Equal figure data renders to equal
-  bytes, which is what lets CI assert reproduction reports are
-  byte-identical across reruns and worker counts.
+- ``render_svg()`` writes the SVG text itself, needing only numpy,
+  with **byte-deterministic output**: fixed coordinate precision,
+  fixed styling, no timestamps, every iteration in input order.  Equal
+  figure data renders to equal bytes, which is what lets CI assert
+  reproduction reports are byte-identical across reruns and worker
+  counts.  Per-point and per-cell elements (curve points, markers,
+  heatmap cells) are computed in array passes, with the same float64
+  operations, in the same order, as the scalar transforms.
 - ``render_png(path)`` goes through matplotlib when it is installed
   (:data:`HAVE_MATPLOTLIB`); the dependency is optional and gated, so
   the SVG pipeline works on a bare numpy/scipy environment.
@@ -31,6 +34,8 @@ from pathlib import Path
 from typing import Sequence
 
 import importlib.util
+
+import numpy as np
 
 #: Probed without importing (matplotlib costs hundreds of ms to load
 #: and only the optional PNG path uses it; render_png imports lazily).
@@ -122,6 +127,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _fmt_all(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every element of a float64 array, in order."""
+    return [_fmt(v) for v in values.tolist()]
+
+
 def _fmt_tick(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
@@ -168,23 +178,36 @@ class _SVG:
             f'y2="{_fmt(y2)}" stroke="{stroke}" stroke-width="{_fmt(width)}"{d}/>'
         )
 
-    def polyline(self, points, stroke, width=2.0, dash=None):
+    # Per-point and per-cell elements take coordinates already
+    # formatted (by _fmt / _fmt_all), so a point shared by several
+    # elements is formatted once.
+
+    def polyline(self, xs, ys, stroke, width=2.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+        pts = " ".join(map(",".join, zip(xs, ys)))
         self.parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_fmt(width)}" stroke-linejoin="round"{d}/>'
         )
 
-    def circle(self, cx, cy, r, fill, stroke=None, stroke_width=1.5):
-        s = (
-            f' stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"'
-            if stroke
-            else ""
+    def markers(self, cxs, cys, hollow, r, color):
+        """One circle per (cx, cy, hollow) triple, in order: a ``color``
+        disc, or a surface-filled ``color`` ring where ``hollow``."""
+        head = f'" r="{_fmt(r)}" fill="'
+        tails = (
+            f'{head}{color}"/>',
+            f'{head}{_SURFACE}" stroke="{color}" stroke-width="1.5"/>',
         )
-        self.parts.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-            f'fill="{fill}"{s}/>'
+        self.parts.extend(
+            f'<circle cx="{x}" cy="{y}{tails[h]}'
+            for x, y, h in zip(cxs, cys, hollow)
+        )
+
+    def rects(self, xs, y, width, height, fills):
+        """One rect per (x, fill) pair, all sharing y, width, height."""
+        mid = f'" y="{y}" width="{width}" height="{height}" fill="'
+        self.parts.extend(
+            f'<rect x="{x}{mid}{fill}"/>' for x, fill in zip(xs, fills)
         )
 
     def bar(self, x, y, w, h, fill, radius=4.0):
@@ -234,10 +257,13 @@ class _Frame:
     ylo: float
     yhi: float
 
-    def px(self, x: float) -> float:
+    # Both take a scalar or a float64 array; an array gets the same
+    # operations in the same order, hence the same doubles, per element.
+
+    def px(self, x):
         return self.x0 + (x - self.xlo) / (self.xhi - self.xlo) * self.w
 
-    def py(self, y: float) -> float:
+    def py(self, y):
         return self.y0 + self.h - (y - self.ylo) / (self.yhi - self.ylo) * self.h
 
 
@@ -264,7 +290,7 @@ def _draw_legend(svg: _SVG, names: Sequence[str], colors: Sequence[str],
                  x: float, y: float) -> None:
     for i, (name, color) in enumerate(zip(names, colors)):
         yy = y + i * 18
-        svg.circle(x + 5, yy - 3.5, 5, color)
+        svg.markers([_fmt(x + 5)], [_fmt(yy - 3.5)], [False], 5, color)
         svg.text(x + 15, yy, name, size=11)
 
 
@@ -326,22 +352,15 @@ class LineFigure:
                          frame.px(hi), frame.py(hi), _AXIS, dash="4 3")
         colors = line_series_colors(self.series)
         for color, s in zip(colors, self.series):
-            pts = [
-                (frame.px(x), frame.py(y))
-                for x, y in zip(s.x, s.y)
-                if y is not None
-            ]
-            if len(pts) > 1:
-                svg.polyline(pts, color, dash="6 4" if s.dash else None)
+            drawn = [i for i, y in enumerate(s.y[:len(s.x)]) if y is not None]
+            xs = _fmt_all(frame.px(np.array([s.x[i] for i in drawn], float)))
+            ys = _fmt_all(frame.py(np.array([s.y[i] for i in drawn], float)))
+            if len(drawn) > 1:
+                svg.polyline(xs, ys, color, dash="6 4" if s.dash else None)
+            # A saturated list shorter than x marks only its own points.
             flags = s.saturated or [False] * len(s.x)
-            for x, y, sat in zip(s.x, s.y, flags):
-                if y is None:
-                    continue
-                if sat:
-                    svg.circle(frame.px(x), frame.py(y), 4, _SURFACE,
-                               stroke=color)
-                else:
-                    svg.circle(frame.px(x), frame.py(y), 4, color)
+            svg.markers(xs, ys, [bool(flags[i]) for i in drawn
+                                 if i < len(flags)], 4, color)
         if legend_w:
             _draw_legend(svg, [s.name for s in self.series], colors,
                          width + 8, 44)
@@ -537,19 +556,40 @@ class GroupedBarFigure:
 HEAT_STOPS = ("#f3f2ee", "#f5d066", "#eb6834", "#a01813")
 
 
-def heat_color(t: float) -> str:
-    """Deterministic color for ``t`` in [0, 1] on :data:`HEAT_STOPS`."""
-    t = min(1.0, max(0.0, t))
+#: :data:`HEAT_STOPS` as float RGB rows; segment i runs row i -> i+1.
+_HEAT_RGB = np.array(
+    [[int(stop[k:k + 2], 16) for k in (1, 3, 5)] for stop in HEAT_STOPS],
+    dtype=float,
+)
+#: Each channel value 0..255 as two hex digits.
+_HEX = tuple(f"{c:02x}" for c in range(256))
+
+
+def _heat_colors(t) -> list[str]:
+    """:func:`heat_color` of every element of ``t``, in one array pass.
+
+    Clamping to [0, 1] sends NaN to 0, the segment index truncates, and
+    each channel is interpolated in float64 and rounded half to even:
+    the steps of the scalar ``min``/``max``/``int``/``round`` ramp, so
+    the colors are the same strings.
+    """
+    t = np.asarray(t, dtype=float)
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
     segs = len(HEAT_STOPS) - 1
-    i = min(int(t * segs), segs - 1)
-    f = t * segs - i
-    a = HEAT_STOPS[i].lstrip("#")
-    b = HEAT_STOPS[i + 1].lstrip("#")
-    rgb = (
-        round(int(a[k:k + 2], 16) * (1 - f) + int(b[k:k + 2], 16) * f)
-        for k in (0, 2, 4)
-    )
-    return "#" + "".join(f"{c:02x}" for c in rgb)
+    i = np.minimum((t * segs).astype(np.int64), segs - 1)
+    f = (t * segs - i)[:, None]
+    rgb = np.rint(_HEAT_RGB[i] * (1 - f) + _HEAT_RGB[i + 1] * f)
+    h = _HEX
+    return ["#" + h[r] + h[g] + h[b] for r, g, b in rgb.astype(int).tolist()]
+
+
+def heat_color(t: float) -> str:
+    """Deterministic color for ``t`` in [0, 1] on :data:`HEAT_STOPS`.
+
+    Values outside [0, 1] clamp to its ends; NaN renders as 0.
+    """
+    return _heat_colors([t])[0]
 
 
 @dataclass
@@ -600,21 +640,19 @@ class HeatmapFigure:
         svg.text(frame.x0, 20, self.title, size=13, fill=_TEXT, bold=True)
         hi = self._vmax()
         cell_w = frame.w / n_cols
+        col_x = _fmt_all(frame.x0 + np.arange(n_cols) * cell_w)
+        # Cells overlap by a hair so antialiased seams never show
+        # between columns.
+        cell_width, cell_height = _fmt(cell_w + 0.35), _fmt(row_h)
         for r, name in enumerate(self.rows):
             y = frame.y0 + r * row_h
             row = self.values[r] if r < len(self.values) else []
-            for c in range(n_cols):
-                v = row[c] if c < len(row) else None
-                if v is None:
-                    continue
-                svg.parts.append(
-                    f'<rect x="{_fmt(frame.x0 + c * cell_w)}" '
-                    f'y="{_fmt(y)}" '
-                    # Cells overlap by a hair so antialiased seams
-                    # never show between columns.
-                    f'width="{_fmt(cell_w + 0.35)}" height="{_fmt(row_h)}" '
-                    f'fill="{heat_color(v / hi)}"/>'
-                )
+            cols = [c for c, v in enumerate(row) if v is not None]
+            # Silent like float division: a tiny hi overflows to inf.
+            with np.errstate(all="ignore"):
+                scaled = np.array([row[c] for c in cols], float) / hi
+            svg.rects([col_x[c] for c in cols], _fmt(y), cell_width,
+                      cell_height, _heat_colors(scaled))
             svg.text(frame.x0 - 8, y + row_h / 2 + 3.5, name, size=10,
                      anchor="end")
         for t in nice_ticks(0.0, float(n_cols)):
@@ -635,13 +673,10 @@ class HeatmapFigure:
         bar_y = frame.y0 + frame.h + 48
         bar_w = min(220.0, frame.w * 0.5)
         strips = 48
-        for i in range(strips):
-            svg.parts.append(
-                f'<rect x="{_fmt(frame.x0 + i * bar_w / strips)}" '
-                f'y="{_fmt(bar_y)}" '
-                f'width="{_fmt(bar_w / strips + 0.35)}" height="10" '
-                f'fill="{heat_color((i + 0.5) / strips)}"/>'
-            )
+        i = np.arange(strips)
+        svg.rects(_fmt_all(frame.x0 + i * bar_w / strips), _fmt(bar_y),
+                  _fmt(bar_w / strips + 0.35), _fmt(10),
+                  _heat_colors((i + 0.5) / strips))
         svg.text(frame.x0, bar_y + 22, "0", size=10)
         svg.text(frame.x0 + bar_w, bar_y + 22, _fmt_tick(hi), size=10,
                  anchor="end")
@@ -686,8 +721,8 @@ def _require_matplotlib() -> None:
     if not HAVE_MATPLOTLIB:
         raise RuntimeError(
             "PNG rendering needs matplotlib, which is not installed; "
-            "the SVG backend (render_svg / save_figure) has no "
-            "third-party dependencies"
+            "the SVG backend (render_svg / save_figure) needs only "
+            "numpy"
         )
 
 

@@ -236,11 +236,13 @@ def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[_Line]
     points write nothing), so callers must only replay hashes whose
     *main* rows were complete: main-row completeness implies the
     scenario finished, and the runner writes a scenario metrics lines
-    before its result rows.
+    before its result rows.  Lines that fail to decode as UTF-8 or to
+    parse are skipped, one line at a time.
     """
     by_hash: dict[str, list[_Line]] = {}
-    for line in path.read_text().splitlines():
+    for raw in path.read_bytes().splitlines():
         try:
+            line = raw.decode("utf-8")
             row = json.loads(line)
             h = row["scenario"]
             name = row["campaign"]
@@ -285,15 +287,17 @@ def _load_cache(
     """JSONL lines (raw and parsed) of *complete* scenarios, keyed by hash.
 
     A scenario is complete when every ``row`` index 0..rows-1 is
-    present.  Lines that fail to parse (a kill mid-write leaves a
-    truncated tail), belong to no campaign scenario, or carry another
-    campaign's name (cached lines replay verbatim, so a stale name
-    would survive into the resumed file) are ignored.
+    present.  Lines that fail to decode as UTF-8 or to parse (a kill
+    mid-write leaves a truncated tail), belong to no campaign scenario,
+    or carry another campaign's name (cached lines replay verbatim, so
+    a stale name would survive into the resumed file) are ignored; the
+    file is split into lines as bytes, so a bad byte costs one line.
     """
     expected = {scenario_hash(s): s.num_rows for s in scenarios}
     by_hash: dict[str, dict[int, _Line]] = {}
-    for line in path.read_text().splitlines():
+    for raw in path.read_bytes().splitlines():
         try:
+            line = raw.decode("utf-8")
             row = json.loads(line)
             h, i, n = row["scenario"], row["row"], row["rows"]
             name = row["campaign"]

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.frames import (
     Curve,
+    MetricsTable,
     RowTable,
     mean_ci,
     provenance,
@@ -119,6 +120,32 @@ class TestIngestion:
         assert table.torn_lines == 1
         with pytest.raises(ValueError, match="torn"):
             RowTable.from_jsonl(path, strict=True)
+
+    def test_invalid_utf8_line_counts_as_torn(self, tmp_path):
+        path = write_jsonl(tmp_path / "t.jsonl",
+                           [make_row(index=i, rows=3) for i in range(3)])
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"label"')] = 0xFF  # one flipped byte, line 1
+        path.write_bytes(bytes(data))
+        table = RowTable.from_jsonl(path)
+        assert [r["row"] for r in table] == [1, 2]
+        assert table.torn_lines == 1 and not table.invalid
+        with pytest.raises(ValueError, match=":1: not valid UTF-8"):
+            RowTable.from_jsonl(path, strict=True)
+
+    def test_invalid_utf8_metrics_line_counts_as_torn(self, tmp_path):
+        rows = [
+            {"campaign": "c", "scenario": "h", "label": "A", "row": i,
+             "rows": 2, "load": 0.1 * (i + 1), "channel_load": [0.5]}
+            for i in range(2)
+        ]
+        path = write_jsonl(tmp_path / "t.jsonl.metrics.jsonl", rows)
+        data = bytearray(path.read_bytes())
+        data[data.rindex(b'"label"')] = 0xC3  # lead byte, no continuation
+        path.write_bytes(bytes(data))
+        table = MetricsTable.from_jsonl(path)
+        assert [r["row"] for r in table] == [0]
+        assert table.torn_lines == 1
 
     def test_unknown_extra_fields_are_preserved(self, tmp_path):
         rows = [make_row(future_field={"nested": [1, 2]})]

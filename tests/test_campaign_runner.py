@@ -209,6 +209,20 @@ class TestResume:
         assert report.simulated == 1 and report.skipped == 0
         assert out.read_bytes() == clean
 
+    def test_invalid_utf8_line_is_resimulated(self, tmp_path):
+        # A flipped byte costs only its own line: that scenario (the
+        # "ring" row) re-simulates, every other one replays.
+        out = tmp_path / "rows.jsonl"
+        campaign = mixed_campaign()
+        run_campaign(campaign, out=out)
+        clean = out.read_bytes()
+        lines = clean.splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"label"', b'"\xfflabel"', 1)
+        out.write_bytes(b"".join(lines))
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 1 and report.skipped == 3
+        assert out.read_bytes() == clean
+
     def test_resume_ignores_foreign_rows(self, tmp_path):
         out = tmp_path / "rows.jsonl"
         campaign = Campaign("one", [open_scenario()])

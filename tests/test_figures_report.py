@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis.figures import (
     BarFigure,
     GroupedBarFigure,
     HAVE_MATPLOTLIB,
+    HEAT_STOPS,
+    HeatmapFigure,
     LineFigure,
     LineSeries,
     PALETTE,
     SERIES_COLORS,
+    _fmt,
+    _fmt_all,
+    _Frame,
+    _heat_colors,
     assign_colors,
+    heat_color,
     nice_ticks,
     save_figure,
 )
@@ -86,6 +98,190 @@ def line_figure() -> LineFigure:
             LineSeries("SF-VAL", [0.1, 0.5, 0.9], [15.0, None, 50.0]),
         ],
     )
+
+
+def pinned_figures() -> dict:
+    """Fixed figures whose SVG bytes are pinned across commits.
+
+    Together they reach every per-point and per-cell branch of the
+    SVG backend: dashed overlays sharing their base color, open
+    (saturated) markers, ``None`` gaps, a ``saturated`` list shorter
+    than ``x``, the diagonal guide, one-point series, overflow gray,
+    ragged heatmap rows, ``None``/NaN/negative/above-scale cells,
+    pinned and zero ``vmax``, and more columns than scale strips.
+    """
+    rng = random.Random(20140101)
+    cdf_loads = sorted(rng.uniform(0.0, 0.8) for _ in range(300))
+    hot = sorted((rng.uniform(-0.05, 1.3) for _ in range(60)), reverse=True)
+    return {
+        "line-overlay": LineFigure(
+            title="SF q=5: latency <vs> load & more", xlabel="offered load",
+            ylabel="latency [cycles]", diagonal=True,
+            series=[
+                LineSeries("SF-MIN", [0.1, 0.3, 0.5, 0.7, 0.9],
+                           [10.0, 12.505, None, 40.0, 95.125],
+                           [False, False, True]),
+                LineSeries("SF-MIN (flow)", [0.1, 0.3, 0.5, 0.7, 0.9],
+                           [9.0, 11.0, 14.0, 30.0, 80.0],
+                           [False, False, False, True, True], dash=True),
+                LineSeries("SF-UGAL-L", [0.5], [20.0], [True]),
+                LineSeries("SF-VAL", [0.1, 0.9], [None, None]),
+            ],
+        ),
+        "line-overflow": LineFigure(
+            title="eleven series", xlabel="x", ylabel="y",
+            series=[
+                LineSeries(f"s{i}", [0, 1, 2, 3],
+                           [-0.001 * i, 0.125 * i, 1.005 - i, 2.675 * i],
+                           [i % 2 == 0] * 4, dash=i % 3 == 0)
+                for i in range(11)
+            ],
+        ),
+        "line-cdf": LineFigure(
+            title="channel-load CDF", xlabel="channel load",
+            ylabel="fraction of channels",
+            series=[
+                LineSeries("SF-MIN", cdf_loads,
+                           [(i + 1) / 300 for i in range(300)]),
+                LineSeries("SF-UGAL-L", cdf_loads[::3],
+                           [(i + 1) / 100 for i in range(100)]),
+            ],
+        ),
+        "heat-ragged": HeatmapFigure(
+            title="ragged", xlabel="channel rank", ylabel="protocol",
+            rows=["SF-MIN", "SF-UGAL-L", "a-much-longer-row-label", "gone"],
+            values=[
+                [0.9, 0.45, None, 0.1, 0.0, -0.2],
+                [1.7, 1.0 / 3.0, 2.0 / 3.0],
+                [None, None, 0.5, 0.25, 0.125, 0.0625, 1e-310],
+            ],
+            scale_label="flits/cycle",
+        ),
+        "heat-pinned": HeatmapFigure(
+            title="pinned scale", xlabel="channel rank", ylabel="protocol",
+            rows=["SF-MIN", "DF-UGAL-L"],
+            values=[hot, [float("nan"), -0.0, 0.6, 2.5] + hot[:20]],
+            vmax=0.75,
+        ),
+        "heat-zero-vmax": HeatmapFigure(
+            title="zero vmax", xlabel="x", ylabel="y",
+            rows=[f"row{i}" for i in range(9)],
+            values=[[((r * 7 + c) % 13) / 12.0 for c in range(50 + r)]
+                    for r in range(9)],
+            vmax=0,
+        ),
+        "bar": BarFigure(title="cost", xlabel="topology",
+                         ylabel="$ / endpoint",
+                         categories=["SF", "DF", "FT-3", "T3D"],
+                         values=[1234.5, 1500.25, 2210.0, 980.125]),
+        "grouped": GroupedBarFigure(
+            title="completion", xlabel="workload", ylabel="cycles",
+            groups=["alltoall", "ring", "halo2d"],
+            series=["SF-MIN", "FT-ANCA", "custom"],
+            values=[[120.0, 340.5, 99.0], [150.0, None], [80.25]],
+        ),
+    }
+
+
+#: sha256 of ``render_svg()`` for each :func:`pinned_figures` entry.
+#: These bytes are the output contract: a rendering change that keeps
+#: them keeps every published figure byte-identical.
+PINNED_SVG_SHA256 = {
+    "bar":
+        "f68eecab0b5baf6a77f8755591b85a48cd5bc3cc89d2819e7a9c959110269e66",
+    "grouped":
+        "00d38e0681141391c76526ff8e7be4787cc5f37010b8e340e10ffcf6e7513633",
+    "heat-pinned":
+        "b9e27b930e623733ff46238de61010da4e7a99b5657b3a3267a22994b4d3643c",
+    "heat-ragged":
+        "58815562ebc5d0d5ce5666f75f17c3fe3480cdda8b91f06a59d2bb4f241037d1",
+    "heat-zero-vmax":
+        "9c1b1663a8f3c298ab5abe4e51f418bb8d8ec40d74af8dcfb49eabb3f09947a6",
+    "line-cdf":
+        "58b82491c6fa4c8ffee0a4ee0bd49b98fd0115907351f6daa1dca36cbf4af0e1",
+    "line-overflow":
+        "26a9ef9a89dc4c61c15ef39555dd1c740f5a2d1cd57203425ae671986767da50",
+    "line-overlay":
+        "9592c6d48c19a70102d0544f5f9653f282844d1728ec1f3aa9c8dca65926d888",
+}
+
+
+class TestPinnedSVGBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_SVG_SHA256))
+    def test_render_svg_digest(self, name):
+        svg = pinned_figures()[name].render_svg()
+        assert hashlib.sha256(svg.encode()).hexdigest() == \
+            PINNED_SVG_SHA256[name]
+
+    def test_every_pinned_figure_is_well_formed(self):
+        figures = pinned_figures()
+        assert sorted(figures) == sorted(PINNED_SVG_SHA256)
+        for figure in figures.values():
+            assert ET.fromstring(figure.render_svg()).tag.endswith("svg")
+
+
+def reference_heat_color(t: float) -> str:
+    """The scalar heat ramp, one channel at a time: the array pass's spec."""
+    t = min(1.0, max(0.0, t))
+    segs = len(HEAT_STOPS) - 1
+    i = min(int(t * segs), segs - 1)
+    f = t * segs - i
+    a = HEAT_STOPS[i].lstrip("#")
+    b = HEAT_STOPS[i + 1].lstrip("#")
+    rgb = (
+        round(int(a[k:k + 2], 16) * (1 - f) + int(b[k:k + 2], 16) * f)
+        for k in (0, 2, 4)
+    )
+    return "#" + "".join(f"{c:02x}" for c in rgb)
+
+
+#: Values where the ramp's clamping, segment choice or channel rounding
+#: could go either way.
+EDGE_FLOATS = [
+    math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+    1.0, math.nextafter(1.0, 0.0), 1.0 / 6.0, 0.5, 5.0 / 6.0,
+    *(math.nextafter(v, d) for v in (1.0 / 3.0, 2.0 / 3.0)
+      for d in (0.0, 1.0)),
+    1.0 / 3.0, 2.0 / 3.0,
+]
+RAMP_INPUTS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-0.25, max_value=1.25),
+)
+
+
+class TestArrayPasses:
+    """The array passes equal their one-element definitions exactly."""
+
+    @given(st.lists(RAMP_INPUTS, max_size=40))
+    def test_heat_colors_match_scalar_reference(self, ts):
+        expected = [reference_heat_color(t) for t in ts]
+        assert _heat_colors(ts) == expected
+        assert [heat_color(t) for t in ts] == expected
+
+    def test_heat_colors_on_every_edge_value(self):
+        assert _heat_colors(EDGE_FLOATS) == [
+            reference_heat_color(t) for t in EDGE_FLOATS
+        ]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    max_size=40))
+    def test_fmt_all_matches_fmt(self, values):
+        assert _fmt_all(np.array(values, float)) == [_fmt(v) for v in values]
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), max_size=20),
+        st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+        st.floats(1.0, 2000.0), st.floats(0.0, 100.0),
+    )
+    def test_frame_transforms_match_scalars(self, values, lo, span, size,
+                                            origin):
+        frame = _Frame(x0=origin, y0=origin, w=size, h=size,
+                       xlo=lo, xhi=lo + span, ylo=lo, yhi=lo + span)
+        arr = np.array(values, float)
+        assert frame.px(arr).tolist() == [frame.px(v) for v in values]
+        assert frame.py(arr).tolist() == [frame.py(v) for v in values]
 
 
 class TestSVGBackend:
@@ -375,6 +571,62 @@ class TestBuildReport:
         bogus.write_text('{"not": "a campaign row"}\n')
         with pytest.raises(ValueError, match="no valid campaign rows"):
             build_report([bogus], tmp_path / "out", analytics=False)
+
+    @staticmethod
+    def channel_load_files(tmp_path, bad_value: str):
+        """Rows plus a sidecar whose HC-VAL ``channel_load`` holds
+        ``bad_value`` (JSON text) among finite loads."""
+        rows = tmp_path / "rows.jsonl"
+        labels = ("HC-MIN", "HC-VAL")
+        rows.write_text("".join(
+            json.dumps({
+                "campaign": "c", "scenario": f"{i:016x}", "label": label,
+                "engine": "open", "row": 0, "rows": 1, "load": 0.5,
+                "latency": 12.0, "accepted": 0.5, "saturated": False,
+                "spec": {"sim": {"seed": 0}},
+            }) + "\n"
+            for i, label in enumerate(labels)
+        ))
+        loads = ("0.1, 0.5, 0", f"0.2, {bad_value}, 0.3")
+        (tmp_path / "rows.jsonl.metrics.jsonl").write_text("".join(
+            f'{{"campaign": "c", "scenario": "{i:016x}", "label": "{label}", '
+            f'"row": 0, "rows": 1, "load": 0.5, "channel_load": [{load}]}}\n'
+            for i, (label, load) in enumerate(zip(labels, loads))
+        ))
+        return rows
+
+    @pytest.mark.parametrize(
+        "bad_value", ["null", '"x"', "true", "NaN", "Infinity"],
+        ids=["null", "string", "true", "nan", "infinity"],
+    )
+    def test_nonnumeric_channel_loads_are_quarantined(self, tmp_path,
+                                                      bad_value):
+        rows = self.channel_load_files(tmp_path, bad_value)
+        result = build_report([rows], tmp_path / "out", analytics=False)
+        assert any("metrics.jsonl" in w and "skipped 1 schema-invalid" in w
+                   for w in result.warnings)
+        # The figures render from the remaining (valid) row.
+        heatmap = next(a for a in result.figures
+                       if a.name == "c-channel-heatmap")
+        svg = heatmap.paths[0].read_text()
+        assert ">HC-MIN</text>" in svg and "HC-VAL" not in svg
+
+    def test_invalid_utf8_rows_and_sidecar_lines_are_torn(self, tmp_path):
+        rows = self.channel_load_files(tmp_path, "0.4")
+        sidecar = tmp_path / "rows.jsonl.metrics.jsonl"
+        for path, byte in ((rows, 0xFF), (sidecar, 0xC3)):
+            data = bytearray(path.read_bytes())
+            data[data.rindex(b'"label"')] = byte  # last line only
+            path.write_bytes(bytes(data))
+        result = build_report([rows], tmp_path / "out", analytics=False)
+        assert result.warnings == [
+            f"`{rows}`: skipped 0 schema-invalid and 1 unparseable line(s)",
+            f"`{sidecar}`: skipped 0 schema-invalid and 1 unparseable "
+            f"metrics line(s)",
+        ]
+        assert {a.name for a in result.figures} >= {
+            "c-latency", "c-channel-cdf", "c-channel-heatmap"
+        }
 
     def test_torn_lines_surface_as_warnings(self, tiny_rows, tmp_path):
         degraded = tmp_path / "degraded.jsonl"
