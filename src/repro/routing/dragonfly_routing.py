@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
-from repro.routing.valiant import stitch
 from repro.topologies.dragonfly import Dragonfly
 from repro.util.rng import make_rng
 
@@ -34,8 +33,19 @@ class DragonflyMinimal(SourceRoutedAlgorithm):
         self.tables = tables
         self.name = name
         self.num_vcs = 3  # l-g-l has at most 3 hops
+        self._n = topology.num_routers
+        #: Canonical paths per visited (src, dst), keyed ``src * N_r + dst``.
+        self._paths: dict[int, tuple[int, ...]] = {}
 
-    def canonical_path(self, src_router: int, dst_router: int) -> list[int]:
+    def _canonical(self, src_router: int, dst_router: int) -> tuple[int, ...]:
+        """Memoized :meth:`canonical_path`, shared between callers."""
+        key = src_router * self._n + dst_router
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = tuple(self._build(src_router, dst_router))
+        return path
+
+    def _build(self, src_router: int, dst_router: int) -> list[int]:
         topo = self.topology
         g_src, g_dst = topo.group_of(src_router), topo.group_of(dst_router)
         if g_src == g_dst:
@@ -49,6 +59,9 @@ class DragonflyMinimal(SourceRoutedAlgorithm):
         if gw_d != dst_router:
             path.append(dst_router)
         return path
+
+    def canonical_path(self, src_router: int, dst_router: int) -> list[int]:
+        return list(self._canonical(src_router, dst_router))
 
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         return self.canonical_path(src_router, dst_router)
@@ -78,19 +91,24 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
         self._minimal = DragonflyMinimal(topology, tables)
 
     def _valiant_group_path(self, src: int, dst: int) -> list[int]:
-        """Minimal to a random router of a random intermediate group, then on."""
+        """Minimal to a random router of a random intermediate group, then on.
+
+        Draws the k-th group other than the source and destination
+        groups (ascending), then a router of that group.
+        """
         topo = self.topology
         g_src, g_dst = topo.group_of(src), topo.group_of(dst)
-        choices = [g for g in range(topo.g) if g not in (g_src, g_dst)]
-        if not choices:
+        skip = (g_src,) if g_src == g_dst else (min(g_src, g_dst), max(g_src, g_dst))
+        if topo.g == len(skip):
             return self.tables.sample_min_path(src, dst, self.rng)
-        mid_group = choices[int(self.rng.integers(len(choices)))]
-        routers = topo.routers_of_group(mid_group)
-        mid = routers[int(self.rng.integers(len(routers)))]
-        return stitch(
-            self._minimal.canonical_path(src, mid),
-            self._minimal.canonical_path(mid, dst),
-        )
+        mid_group = int(self.rng.integers(topo.g - len(skip)))
+        for g in skip:
+            if mid_group >= g:
+                mid_group += 1
+        # Router k of a group is group * a + k (Dragonfly.routers_of_group).
+        mid = mid_group * topo.a + int(self.rng.integers(topo.a))
+        canonical = self._minimal._canonical
+        return [*canonical(src, mid), *canonical(mid, dst)[1:]]
 
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         if src_router == dst_router:

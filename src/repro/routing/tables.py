@@ -2,10 +2,12 @@
 
 Stores only the (N_r × N_r) hop-distance matrix (int16) and derives
 next-hop candidates on demand: the neighbours v of u with
-``dist[v, dst] == dist[u, dst] − 1``.  This keeps memory linear in the
-distance matrix while still exposing full path diversity (needed by
-Valiant sampling and by the worst-case traffic generator, which must
-know *the* two-hop path between non-adjacent Slim Fly routers).
+``dist[v, dst] == dist[u, dst] − 1``, memoized per (router,
+destination) pair on first use.  Memory stays the distance matrix plus
+the sets of the pairs actually visited, while full path diversity stays
+exposed (needed by Valiant sampling and by the worst-case traffic
+generator, which must know *the* two-hop path between non-adjacent Slim
+Fly routers).
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ class RoutingTables:
         self._dist_list: list[list[int]] | None = None
         self._next_hop: np.ndarray | None = None
         self._next_hop_list: list[list[int]] | None = None
+        #: Shortest-path next hops (adjacency order) per visited
+        #: (router, destination) pair, keyed ``at * num_routers + dst``.
+        self._hop_sets: dict[int, tuple[int, ...]] = {}
 
     @staticmethod
     def _all_pairs_distances(adjacency: list[list[int]]) -> np.ndarray:
@@ -44,8 +49,7 @@ class RoutingTables:
         """Distance matrix as nested Python lists (hot-loop container).
 
         Scalar indexing into a numpy matrix costs ~3x a plain list
-        lookup; per-hop candidate scans (Valiant sampling, UGAL
-        candidate generation) do millions of them.
+        lookup; deriving a next-hop set scans every neighbour with it.
         """
         if self._dist_list is None:
             self._dist_list = self.dist.tolist()
@@ -83,13 +87,21 @@ class RoutingTables:
     def distance(self, src: int, dst: int) -> int:
         return int(self.dist[src, dst])
 
+    def _hop_set(self, at: int, dst: int) -> tuple[int, ...]:
+        """Memoized :meth:`next_hop_candidates` (empty when at == dst)."""
+        key = at * self.num_routers + dst
+        hops = self._hop_sets.get(key)
+        if hops is None:
+            dist = self._distances_as_lists()
+            target = dist[at][dst] - 1
+            hops = self._hop_sets[key] = tuple(
+                v for v in self.adjacency[at] if dist[v][dst] == target
+            )
+        return hops
+
     def next_hop_candidates(self, at: int, dst: int) -> list[int]:
         """Neighbours of ``at`` lying on some shortest path to ``dst``."""
-        if at == dst:
-            return []
-        dist = self._distances_as_lists()
-        target = dist[at][dst] - 1
-        return [v for v in self.adjacency[at] if dist[v][dst] == target]
+        return list(self._hop_set(at, dst))
 
     def min_path(self, src: int, dst: int) -> list[int]:
         """Deterministic shortest router path [src, ..., dst].
@@ -108,10 +120,13 @@ class RoutingTables:
     def sample_min_path(self, src: int, dst: int, rng) -> list[int]:
         """Uniformly-random-per-hop shortest path (used by VAL segments)."""
         rng = make_rng(rng)
+        memo = self._hop_sets
+        n = self.num_routers
         path = [src]
         at = src
         while at != dst:
-            cands = self.next_hop_candidates(at, dst)
+            # Off the diagonal every set is non-empty, so a miss is None.
+            cands = memo.get(at * n + dst) or self._hop_set(at, dst)
             at = cands[int(rng.integers(len(cands)))] if len(cands) > 1 else cands[0]
             path.append(at)
         return path

@@ -5,7 +5,8 @@ routed minimally R_s → R_r → R_d.  In Slim Fly the result has 2–4
 hops.  The optional ``max_hops`` constraint re-samples intermediates
 until the combined path is short enough; the paper found constraining
 to ≤ 3 hops *increases* latency (fewer paths), which the experiments
-reproduce by toggling this knob.
+reproduce by toggling this knob.  A topology with fewer than three
+routers has no intermediate to pick, so packets route minimally.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class ValiantRouting(SourceRoutedAlgorithm):
 
     def random_intermediate(self, src: int, dst: int) -> int:
         n = self.tables.num_routers
+        if n < 3:
+            raise ValueError("a Valiant intermediate needs at least 3 routers")
         while True:
             r = int(self.rng.integers(n))
             if r != src and r != dst:
@@ -50,6 +53,9 @@ class ValiantRouting(SourceRoutedAlgorithm):
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         if src_router == dst_router:
             return [src_router]
+        if self.tables.num_routers < 3:
+            # No router lies outside {src, dst}: route minimally, no draw.
+            return self.tables.min_path(src_router, dst_router)
         for _ in range(self.max_resample):
             mid = self.random_intermediate(src_router, dst_router)
             path = stitch(

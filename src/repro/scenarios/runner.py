@@ -228,30 +228,62 @@ def _metrics_payload(
     return rows
 
 
-def _load_metrics_cache(path: Path, campaign_name: str) -> dict[str, list[_Line]]:
-    """Metrics-sidecar lines (raw and parsed) grouped by scenario hash.
+def _load_metrics_cache(
+    path: Path, campaign_name: str, armed: Sequence[str]
+) -> tuple[dict[str, list[_Line]], set[str]]:
+    """Metrics-sidecar lines (raw and parsed) grouped by scenario hash,
+    plus the hashes a torn line may have belonged to.
 
     Unlike the main cache there is no per-scenario completeness check
     (a telemetry row count is not knowable up front — short-circuited
     points write nothing), so callers must only replay hashes whose
     *main* rows were complete: main-row completeness implies the
-    scenario finished, and the runner writes a scenario metrics lines
-    before its result rows.  Lines that fail to decode as UTF-8 or to
-    parse are skipped, one line at a time.
+    scenario finished, and the runner writes a scenario's metrics lines
+    (flushed) before its result rows.
+
+    A line that fails to decode as UTF-8 or to parse costs its scenario
+    a telemetry row, and its hash is unreadable.  Sidecar groups are
+    written in campaign order, so it belongs to a telemetry-armed
+    scenario (``armed``, campaign order) between the scenarios of the
+    nearest attributable lines before and after it, inclusive; all of
+    those are returned for re-simulation.  An unterminated last line is
+    a kill mid-write: its scenario's result rows were never written, so
+    it re-simulates anyway and costs no neighbour.
     """
+    position = {h: i for i, h in enumerate(armed)}
+    data = path.read_bytes()
+    raws = data.splitlines()
+    if raws and not data.endswith(b"\n"):
+        raws.pop()
     by_hash: dict[str, list[_Line]] = {}
-    for raw in path.read_bytes().splitlines():
+    torn: set[str] = set()
+    #: Position of the last attributable line (0 before the first one),
+    #: and whether a torn line came after it.
+    last = 0
+    gap = False
+    for raw in raws:
         try:
             line = raw.decode("utf-8")
             row = json.loads(line)
-            h = row["scenario"]
-            name = row["campaign"]
+            h, name = row["scenario"], row["campaign"]
         except (ValueError, KeyError, TypeError):
+            h = None
+        if not isinstance(h, str):
+            gap = True
             continue
-        if name != campaign_name or not isinstance(h, str):
+        if name != campaign_name:
             continue
         by_hash.setdefault(h, []).append((line, row))
-    return by_hash
+        here = position.get(h)
+        if here is None:
+            continue
+        if gap:
+            torn.update(armed[min(last, here) : max(last, here) + 1])
+            gap = False
+        last = here
+    if gap:
+        torn.update(armed[last:])
+    return by_hash, torn
 
 
 class _LazyStream:
@@ -578,6 +610,7 @@ def run_campaign(
         if metrics_out is not None
         else None
     )
+    hashes = [scenario_hash(s) for s in scenarios]
     if resume and out_path is not None:
         if out_path.exists():
             cache = _load_cache(out_path, campaign.name, scenarios)
@@ -588,17 +621,23 @@ def run_campaign(
             for h, lines in _load_cache(tmp_path, campaign.name, scenarios).items():
                 cache.setdefault(h, lines)
         # Telemetry sidecar lines follow their main rows: only hashes
-        # in the (complete-scenario) main cache are ever replayed.
-        if metrics_out.exists():
-            metrics_cache = _load_metrics_cache(metrics_out, campaign.name)
-        if metrics_tmp.exists():
-            for h, lines in _load_metrics_cache(
-                metrics_tmp, campaign.name
-            ).items():
-                metrics_cache.setdefault(h, lines)
+        # in the (complete-scenario) main cache are ever replayed, and
+        # none that a torn sidecar line may have belonged to.
+        armed = [h for h, s in zip(hashes, scenarios) if s.telemetry is not None]
+        torn: set[str] = set()
+        for path in (metrics_out, metrics_tmp):
+            if path.exists():
+                lines_by_hash, torn_here = _load_metrics_cache(
+                    path, campaign.name, armed
+                )
+                torn |= torn_here
+                for h, lines in lines_by_hash.items():
+                    metrics_cache.setdefault(h, lines)
+        for h in torn:
+            cache.pop(h, None)
+            metrics_cache.pop(h, None)
 
     report = CampaignReport(campaign=campaign.name, out=str(out_path) if out_path else None)
-    hashes = [scenario_hash(s) for s in scenarios]
     pending = [h not in cache for h in hashes]
     #: hash -> how this run obtained the rows ("resume" defers to the
     #: previous meta sidecar; see _write_meta).

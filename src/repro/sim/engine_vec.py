@@ -79,12 +79,13 @@ _PATH_SLOTS = 8
 
 
 class _QueueView:
-    """The ``queue_length`` view adaptive planners (UGAL) read.
+    """The live ``queue_length`` view per-hop adaptive routing reads.
 
     Exposes the same congestion signal as
     :meth:`repro.sim.network.SimNetwork.queue_length`, backed by the
-    vectorised engine's arrays, so UGAL's per-packet cost comparison
-    sees bit-identical state and plans identical paths.
+    vectorised engine's arrays, so FT-ANCA's per-request decisions in
+    :meth:`VecEngine._alloc_adaptive` see the grants made earlier in the
+    same scan.
     """
 
     __slots__ = ("_pb", "_pi", "_stage_len", "_credits", "_V", "_cap")
@@ -103,6 +104,29 @@ class _QueueView:
         s = c * V
         down = self._cap * V - int(self._credits[s : s + V].sum())
         return int(self._stage_len[c]) + down
+
+
+class _QueueSnapshot:
+    """The ``queue_length`` view UGAL planners read during injection.
+
+    The same signal as :class:`_QueueView`, for every channel at once,
+    filled on the first read of an injection phase.  That is exact:
+    the plan loops only write path rows, never credits or stage
+    lengths, so every read within one phase sees the same state.
+    """
+
+    __slots__ = ("_chan_of", "_fill", "_q")
+
+    def __init__(self, chan_of, fill):
+        self._chan_of = chan_of
+        self._fill = fill
+        self._q = None
+
+    def queue_length(self, router: int, neighbor: int) -> int:
+        q = self._q
+        if q is None:
+            q = self._q = self._fill()
+        return q[self._chan_of[router][neighbor]]
 
 
 class VecEngine:
@@ -306,7 +330,7 @@ class VecEngine:
         )
         self._emap = np.asarray(topology.endpoint_map, dtype=np.int64)
         self._excludes_self = bool(getattr(traffic, "excludes_self", False))
-        if self._plan is not None or self._adaptive is not None:
+        if self._adaptive is not None:
             self._view = _QueueView(
                 self._pb.tolist(), self._pi, self._stage_len, self.credits,
                 V, cap,
@@ -495,7 +519,7 @@ class VecEngine:
             plan = self._plan
             if self._tele_route:
                 plan = self._counted_plan(plan)
-            view = self._view
+            view = self._queue_snapshot()
             chan_of = self._chan_of_list
             path_rows = self._p_path
             for pid, sr, dr in zip(ids.tolist(), src_rt.tolist(), dst_rt.tolist()):
@@ -524,6 +548,17 @@ class VecEngine:
             self._route_total += k
         if measuring:
             self.measured_injected += k
+
+    def _queue_snapshot(self) -> _QueueSnapshot:
+        """This injection phase's queue view (see :class:`_QueueSnapshot`)."""
+        return _QueueSnapshot(self._chan_of_list, self._queue_lengths)
+
+    def _queue_lengths(self) -> list[int]:
+        """Per-channel ``queue_length``: staged packets plus the flits
+        buffered downstream (capacity minus credits, summed over VCs)."""
+        C, V = self.num_channels, self.num_vcs
+        down = self._cap * V - self.credits.reshape(C, V).sum(axis=1)
+        return (self._stage_len + down).tolist()
 
     def _counted_plan(self, plan):
         """Wrap ``plan()`` with the routing-decision counters — the
@@ -1330,6 +1365,7 @@ class VecClosedLoopEngine(VecEngine):
             return
         L = self._L
         plan = self._plan
+        view = self._queue_snapshot() if plan is not None else None
         while self._ready:
             batch = np.asarray(sorted(self._ready), dtype=np.int64)
             self._ready = []
@@ -1373,7 +1409,6 @@ class VecClosedLoopEngine(VecEngine):
                 # Source-routed plans per packet in batch order: the
                 # identical RNG consumption (and queue view) as the
                 # flat closed-loop injection loop.
-                view = self._view
                 chan_of = self._chan_of_list
                 path_rows = self._p_path
                 src_rt = self._m_src_rt[nz][rep].tolist()

@@ -321,18 +321,30 @@ class TestTelemetrySidecar:
     and the no-probes-no-file contract."""
 
     @staticmethod
-    def probed_scenario(label="probed", loads=(0.1, 0.3)):
+    def probed_scenario(label="probed", loads=(0.1, 0.3), seed=0):
         from repro.sim.telemetry import TelemetrySpec
 
         return Scenario(
             topology=HC,
             routing=RoutingSpec("min"),
             sim=CFG,
-            traffic=TrafficSpec("uniform", seed=0),
+            traffic=TrafficSpec("uniform", seed=seed),
             loads=list(loads),
             label=label,
             telemetry=TelemetrySpec.full(),
         )
+
+    @classmethod
+    def probed_run(cls, tmp_path, loads):
+        """A clean 3-scenario probed run: (campaign, out, rows, sidecar)."""
+        campaign = Campaign("tele3", [
+            cls.probed_scenario(f"probed-{k}", loads=loads, seed=k)
+            for k in range(3)
+        ])
+        out = tmp_path / "rows.jsonl"
+        run_campaign(campaign, out=out)
+        sidecar = out.with_name(out.name + ".metrics.jsonl")
+        return campaign, out, out.read_bytes(), sidecar.read_bytes()
 
     def test_sidecar_byte_identical_across_worker_counts(self, tmp_path):
         for w in (1, 4):
@@ -365,6 +377,57 @@ class TestTelemetrySidecar:
         )
         assert report.simulated == 0 and report.skipped == 1
         assert sidecar.read_bytes() == before
+
+    @pytest.mark.parametrize("loads", [(0.1,), (0.1, 0.3)],
+                             ids=["1-load", "2-load"])
+    def test_torn_mid_file_sidecar_line_resimulates(self, tmp_path, loads):
+        # A torn line's hash is unreadable, so every scenario it may
+        # have belonged to re-simulates.  With one line per scenario the
+        # torn line is a whole scenario's telemetry, one that neither
+        # neighbouring line names: the range between them must count.
+        campaign, out, clean, clean_sidecar = self.probed_run(tmp_path, loads)
+        sidecar = out.with_name(out.name + ".metrics.jsonl")
+        lines = clean_sidecar.splitlines(keepends=True)
+        assert len(lines) == 3 * len(loads)
+        for k, line in enumerate(lines):
+            torn = list(lines)
+            torn[k] = line[: len(line) // 2] + b"\n"
+            sidecar.write_bytes(b"".join(torn))
+            report = run_campaign(campaign, out=out, resume=True)
+            assert report.simulated >= 1 and report.skipped + report.simulated == 3
+            assert out.read_bytes() == clean, k
+            assert sidecar.read_bytes() == clean_sidecar, k
+
+    def test_torn_sidecar_line_replays_from_the_store(self, tmp_path):
+        campaign, out, clean, clean_sidecar = self.probed_run(tmp_path, (0.1,))
+        store = tmp_path / "store"
+        run_campaign(campaign, out=tmp_path / "cold.jsonl", store=store)
+        sidecar = out.with_name(out.name + ".metrics.jsonl")
+        lines = clean_sidecar.splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"\n"
+        sidecar.write_bytes(b"".join(lines))
+        before = simulations_started()
+        report = run_campaign(campaign, out=out, resume=True, store=store)
+        assert simulations_started() == before
+        assert report.store_hits >= 1 and report.simulated == 0
+        assert out.read_bytes() == clean
+        assert sidecar.read_bytes() == clean_sidecar
+
+    def test_torn_sidecar_tail_resimulates_only_the_unfinished_scenario(
+        self, tmp_path
+    ):
+        # Killed while writing the last scenario's second metrics line:
+        # its result rows were never written, the others are complete.
+        campaign, out, clean, clean_sidecar = self.probed_run(tmp_path, (0.1, 0.3))
+        sidecar = out.with_name(out.name + ".metrics.jsonl")
+        rows = clean.splitlines(keepends=True)
+        lines = clean_sidecar.splitlines(keepends=True)
+        out.write_bytes(b"".join(rows[:4]))
+        sidecar.write_bytes(b"".join(lines[:5]) + lines[5][:40])
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 1 and report.skipped == 2
+        assert out.read_bytes() == clean
+        assert sidecar.read_bytes() == clean_sidecar
 
     def test_probeless_campaign_leaves_no_sidecar(self, tmp_path):
         out = tmp_path / "rows.jsonl"

@@ -1,8 +1,12 @@
 """Tests for routing tables, MIN/VAL/UGAL, DF and FT protocols."""
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.faults import apply_fault
 from repro.routing import (
     ANCARouting,
     DragonflyMinimal,
@@ -13,6 +17,7 @@ from repro.routing import (
     ValiantRouting,
 )
 from repro.routing.valiant import stitch
+from repro.topologies import Dragonfly, SlimFly
 from repro.topologies.fattree import AGG, CORE, EDGE
 
 
@@ -228,3 +233,326 @@ class TestANCA:
 
     def test_plan_returns_none(self, ft4):
         assert ANCARouting(ft4).plan(0, 5, None) is None
+
+
+# -- planner output and RNG use pinned against reference bodies -------------
+#
+# The reference functions below are the planners written without
+# shortcuts: every next-hop set is rescanned from the neighbour list per
+# hop, every DF minimal path is rebuilt per call, and the DF intermediate
+# group is picked from an explicit ``choices`` list.  The library planners
+# may memoize or compute these, but must return identical paths and leave
+# the shared Generator in an identical state after every call.
+
+
+class ReferenceTables:
+    """Neighbour-rescanning next-hop sets over a tables' distances."""
+
+    def __init__(self, tables):
+        self.adjacency = tables.adjacency
+        self.num_routers = tables.num_routers
+        self.dist = tables.dist.tolist()
+
+    def next_hop_candidates(self, at, dst):
+        if at == dst:
+            return []
+        dist = self.dist
+        target = dist[at][dst] - 1
+        return [v for v in self.adjacency[at] if dist[v][dst] == target]
+
+    def min_path(self, src, dst):
+        path = [src]
+        at = src
+        while at != dst:
+            at = self.next_hop_candidates(at, dst)[0]
+            path.append(at)
+        return path
+
+    def sample_min_path(self, src, dst, rng):
+        path = [src]
+        at = src
+        while at != dst:
+            cands = self.next_hop_candidates(at, dst)
+            at = cands[int(rng.integers(len(cands)))] if len(cands) > 1 else cands[0]
+            path.append(at)
+        return path
+
+
+def reference_valiant_plan(ref, rng, src, dst, max_hops=None, max_resample=32):
+    if src == dst:
+        return [src]
+    n = ref.num_routers
+    for _ in range(max_resample):
+        while True:
+            mid = int(rng.integers(n))
+            if mid != src and mid != dst:
+                break
+        path = stitch(
+            ref.sample_min_path(src, mid, rng),
+            ref.sample_min_path(mid, dst, rng),
+        )
+        if max_hops is None or len(path) - 1 <= max_hops:
+            return path
+    return path
+
+
+def _reference_pick(cands, network, mode):
+    cost = (
+        MinimalRouting.path_cost_local
+        if mode == "local"
+        else MinimalRouting.path_cost_global
+    )
+    return min(cands, key=lambda p: (cost(p, network), len(p)))
+
+
+def reference_ugal_plan(ref, rng, src, dst, network, mode, num_candidates=4):
+    if src == dst:
+        return [src]
+    cands = [ref.min_path(src, dst)]
+    for _ in range(num_candidates):
+        cands.append(reference_valiant_plan(ref, rng, src, dst))
+    return _reference_pick(cands, network, mode)
+
+
+def reference_canonical_path(topo, src, dst):
+    g_src, g_dst = topo.group_of(src), topo.group_of(dst)
+    if g_src == g_dst:
+        return [src] if src == dst else [src, dst]
+    gw_s = topo.gateway_router(g_src, g_dst)
+    gw_d = topo.gateway_router(g_dst, g_src)
+    path = [src]
+    if gw_s != src:
+        path.append(gw_s)
+    path.append(gw_d)
+    if gw_d != dst:
+        path.append(dst)
+    return path
+
+
+def reference_valiant_group_path(topo, ref, rng, src, dst):
+    g_src, g_dst = topo.group_of(src), topo.group_of(dst)
+    choices = [g for g in range(topo.g) if g not in (g_src, g_dst)]
+    if not choices:
+        return ref.sample_min_path(src, dst, rng)
+    mid_group = choices[int(rng.integers(len(choices)))]
+    routers = topo.routers_of_group(mid_group)
+    mid = routers[int(rng.integers(len(routers)))]
+    return stitch(
+        reference_canonical_path(topo, src, mid),
+        reference_canonical_path(topo, mid, dst),
+    )
+
+
+def reference_df_ugal_plan(topo, ref, rng, src, dst, network, mode,
+                           num_candidates=4):
+    if src == dst:
+        return [src]
+    cands = [reference_canonical_path(topo, src, dst)]
+    for _ in range(num_candidates):
+        cands.append(reference_valiant_group_path(topo, ref, rng, src, dst))
+    return _reference_pick(cands, network, mode)
+
+
+PINNED_TOPOLOGIES = {
+    "SF-q5": lambda: SlimFly.from_q(5),
+    "SF-q7": lambda: SlimFly.from_q(7),
+    # Irregular degrees, diameter 4.
+    "SF-q7-faulted": lambda: apply_fault(
+        SlimFly.from_q(7), link_fraction=0.1, seed=2
+    ),
+    "DF-h2": lambda: Dragonfly.balanced(2),
+    "DF-h3": lambda: Dragonfly.balanced(3),
+    # Cross-group pairs have no third group: the minimal-sampling fallback.
+    "DF-g2": lambda: Dragonfly(a=2, p=1, h=1, num_groups=2),
+}
+DF_TOPOLOGIES = ("DF-h2", "DF-h3", "DF-g2")
+PINNED_PAIRS = 2000
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_case(name):
+    """(topology, tables, (src, dst) pairs, random-occupancy view)."""
+    topo = PINNED_TOPOLOGIES[name]()
+    tables = RoutingTables(topo.adjacency)
+    n = topo.num_routers
+    pairs = np.random.default_rng(2024).integers(n, size=(PINNED_PAIRS, 2))
+    # Random occupancy for every directed link (the UGAL queue signal).
+    occ_rng = np.random.default_rng(7)
+    lengths = {
+        (u, v): int(occ_rng.integers(0, 40))
+        for u, nbrs in enumerate(topo.adjacency)
+        for v in nbrs
+    }
+    return topo, tables, pairs.tolist(), FakeNetwork(lengths)
+
+
+@pytest.fixture(params=sorted(PINNED_TOPOLOGIES))
+def pinned(request):
+    return _pinned_case(request.param)
+
+
+@pytest.fixture(params=DF_TOPOLOGIES)
+def pinned_df(request):
+    return _pinned_case(request.param)
+
+
+def _run_pinned(pairs, plan, reference, planner_rng, reference_rng):
+    for src, dst in pairs:
+        assert plan(src, dst) == reference(src, dst), (src, dst)
+        assert (
+            planner_rng.bit_generator.state == reference_rng.bit_generator.state
+        ), (src, dst)
+
+
+class TestPlannersPinnedToReference:
+    """Every source-routed planner returns the reference path and makes
+    the reference draws, call for call, on regular, faulted and
+    Dragonfly topologies."""
+
+    def test_next_hop_sets_and_min_paths(self, pinned):
+        topo, tables, pairs, _ = pinned
+        ref = ReferenceTables(tables)
+        for src, dst in pairs:
+            assert tables.next_hop_candidates(src, dst) == ref.next_hop_candidates(
+                src, dst
+            )
+            assert tables.min_path(src, dst) == ref.min_path(src, dst)
+
+    def test_next_hop_candidates_returns_a_fresh_list(self, pinned):
+        topo, tables, pairs, _ = pinned
+        src, dst = next((s, d) for s, d in pairs if s != d)
+        first = tables.next_hop_candidates(src, dst)
+        expected = list(first)
+        first.append(-1)
+        assert tables.next_hop_candidates(src, dst) == expected
+
+    def test_sample_min_path(self, pinned):
+        topo, tables, pairs, _ = pinned
+        ref = ReferenceTables(tables)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        _run_pinned(
+            pairs,
+            lambda s, d: tables.sample_min_path(s, d, rng),
+            lambda s, d: ref.sample_min_path(s, d, ref_rng),
+            rng, ref_rng,
+        )
+
+    @pytest.mark.parametrize("max_hops", [None, 3])
+    def test_valiant(self, pinned, max_hops):
+        topo, tables, pairs, _ = pinned
+        ref = ReferenceTables(tables)
+        r = ValiantRouting(tables, seed=11, max_hops=max_hops)
+        ref_rng = np.random.default_rng(11)
+        _run_pinned(
+            pairs,
+            lambda s, d: r.plan(s, d, None),
+            lambda s, d: reference_valiant_plan(ref, ref_rng, s, d, max_hops),
+            r.rng, ref_rng,
+        )
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_ugal(self, pinned, mode):
+        topo, tables, pairs, net = pinned
+        ref = ReferenceTables(tables)
+        r = UGALRouting(tables, mode, seed=13)
+        ref_rng = np.random.default_rng(13)
+        _run_pinned(
+            pairs,
+            lambda s, d: r.plan(s, d, net),
+            lambda s, d: reference_ugal_plan(ref, ref_rng, s, d, net, mode),
+            r.rng, ref_rng,
+        )
+
+    def test_dragonfly_canonical_path(self, pinned_df):
+        topo, tables, pairs, _ = pinned_df
+        r = DragonflyMinimal(topo, tables)
+        for src, dst in pairs:
+            assert r.canonical_path(src, dst) == reference_canonical_path(
+                topo, src, dst
+            )
+            assert r.plan(src, dst, None) == reference_canonical_path(
+                topo, src, dst
+            )
+
+    def test_dragonfly_valiant_group_path(self, pinned_df):
+        topo, tables, pairs, _ = pinned_df
+        ref = ReferenceTables(tables)
+        r = DragonflyUGAL(topo, tables, seed=17)
+        ref_rng = np.random.default_rng(17)
+        _run_pinned(
+            pairs,
+            r._valiant_group_path,
+            lambda s, d: reference_valiant_group_path(topo, ref, ref_rng, s, d),
+            r.rng, ref_rng,
+        )
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_dragonfly_ugal(self, pinned_df, mode):
+        topo, tables, pairs, net = pinned_df
+        ref = ReferenceTables(tables)
+        r = DragonflyUGAL(topo, tables, mode=mode, seed=19)
+        ref_rng = np.random.default_rng(19)
+        _run_pinned(
+            pairs,
+            lambda s, d: r.plan(s, d, net),
+            lambda s, d: reference_df_ugal_plan(
+                topo, ref, ref_rng, s, d, net, mode
+            ),
+            r.rng, ref_rng,
+        )
+
+
+class TestTwoRouterValiant:
+    """Two routers leave no Valiant intermediate outside {src, dst}: VAL
+    and UGAL must route minimally without drawing, not spin forever.
+    An alarm turns a regression into a failure instead of a hung suite."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        import signal
+
+        def expire(signum, frame):
+            raise TimeoutError("planning on a 2-router topology did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_plans_are_minimal_and_draw_nothing(self):
+        tables = RoutingTables([[1], [0]])
+        val = ValiantRouting(tables, seed=1)
+        before = val.rng.bit_generator.state
+        assert val.plan(0, 1, None) == [0, 1]
+        assert val.plan(1, 0, None) == [1, 0]
+        assert val.rng.bit_generator.state == before
+        with pytest.raises(ValueError, match="3 routers"):
+            val.random_intermediate(0, 1)
+        for mode in ("local", "global"):
+            ugal = UGALRouting(tables, mode, seed=1)
+            assert ugal.plan(0, 1, FakeNetwork()) == [0, 1]
+
+    @pytest.mark.parametrize("routing", ["val", "ugal-l"])
+    def test_hc2_campaign_finishes(self, routing):
+        from repro.scenarios import (
+            Campaign,
+            RoutingSpec,
+            Scenario,
+            TopologySpec,
+            TrafficSpec,
+            run_campaign,
+        )
+        from repro.sim.config import SimConfig
+
+        scenario = Scenario(
+            topology=TopologySpec("HC", target_endpoints=2),
+            routing=RoutingSpec(routing, {"seed": 1}),
+            sim=SimConfig(warmup_cycles=20, measure_cycles=60, drain_cycles=300),
+            traffic=TrafficSpec("uniform"),
+            loads=[0.2, 0.5],
+            label=f"hc2/{routing}",
+        )
+        report = run_campaign(Campaign("hc2", [scenario]))
+        assert report.simulated == 1
+        assert [r["label"] for r in report.rows] == [f"hc2/{routing}"] * 2

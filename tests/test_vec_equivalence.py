@@ -26,7 +26,12 @@ cycle->cycle-vec auto-default).
 
 import pytest
 
-from repro.routing import MinimalRouting, UGALRouting, ValiantRouting
+from repro.routing import (
+    DragonflyUGAL,
+    MinimalRouting,
+    UGALRouting,
+    ValiantRouting,
+)
 from repro.routing.fattree_routing import ANCARouting
 from repro.routing.tables import RoutingTables
 from repro.sim import (
@@ -39,6 +44,7 @@ from repro.sim import (
     vec_simulate_workload,
 )
 from repro.traffic import ShiftPattern, ShufflePattern, SlimFlyWorstCase, UniformRandom
+from repro.traffic.adversarial import DragonflyWorstCase
 from repro.workloads.registry import make_placed_workload
 
 CFG = SimConfig(warmup_cycles=120, measure_cycles=300, drain_cycles=1500, seed=11)
@@ -391,6 +397,60 @@ class TestAdaptiveEquivalence:
             vec.telemetry.channel_flits
         )
         assert tuple(flat.telemetry.max_queue) == tuple(vec.telemetry.max_queue)
+
+
+class TestDragonflyUGALEquivalence:
+    """Dragonfly UGAL on DF h=3: 114 routers, so campaigns auto-upgrade
+    these scenarios to ``cycle-vec``.  The group-Valiant candidates and
+    canonical minimal paths must plan identically on both engines, off
+    the same shared RNG and the same queue signal."""
+
+    @pytest.fixture(scope="class")
+    def df3_tables(self, df3):
+        return RoutingTables(df3.adjacency)
+
+    @pytest.mark.parametrize("telemetry", [None, TelemetrySpec.full()],
+                             ids=["tele-off", "tele-full"])
+    @pytest.mark.parametrize("pattern", ["uniform", "worstcase"])
+    @pytest.mark.parametrize("mode", ["local", "global"],
+                             ids=["DF-UGAL-L", "DF-UGAL-G"])
+    def test_open_loop(self, df3, df3_tables, mode, pattern, telemetry):
+        if pattern == "uniform":
+            traffic = UniformRandom(df3.num_endpoints)
+        else:
+            traffic = DragonflyWorstCase(df3)
+
+        def run(sim_fn):
+            return sim_fn(
+                df3, DragonflyUGAL(df3, df3_tables, mode=mode, seed=3),
+                traffic, 0.3, CFG7, telemetry=telemetry,
+            )
+
+        flat, vec = run(simulate), run(vec_simulate)
+        assert flat == vec
+        if telemetry is not None:
+            ft, vt = flat.telemetry, vec.telemetry
+            assert tuple(ft.latency_hist) == tuple(vt.latency_hist)
+            assert tuple(ft.channel_flits) == tuple(vt.channel_flits)
+            assert tuple(ft.max_queue) == tuple(vt.max_queue)
+            assert ft.route_packets == vt.route_packets
+            assert ft.route_diverted == vt.route_diverted
+
+    def test_closed_loop_alltoall(self, df3, df3_tables):
+        wl = make_placed_workload(
+            "alltoall", df3, 16, size_flits=4, iterations=1, placement="spread"
+        )
+        cfg = SimConfig(seed=11)
+
+        def run(sim_fn):
+            return sim_fn(
+                df3, DragonflyUGAL(df3, df3_tables, mode="local", seed=3),
+                wl, cfg,
+            )
+
+        _assert_workload_equal(
+            run(simulate_workload), run(vec_simulate_workload)
+        )
 
 
 class TestScope:
