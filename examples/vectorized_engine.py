@@ -19,7 +19,7 @@ Run:  python examples/vectorized_engine.py
 import time
 
 from repro.routing import MinimalRouting, RoutingTables
-from repro.sim import SimConfig, get_backend
+from repro.sim import SimConfig, parallel_latency_vs_load
 from repro.topologies import SlimFly
 from repro.traffic import UniformRandom
 from repro.util.tables import ascii_table
@@ -33,11 +33,10 @@ def sweep_all_backends(sf, tables, traffic):
     """Run the same sweep through each backend, timing it."""
     curves = {}
     for name in BACKENDS:
-        backend = get_backend(name)
         t0 = time.time()
-        rows = backend.sweep(
+        rows = parallel_latency_vs_load(
             sf, lambda: MinimalRouting(tables), traffic, LOADS,
-            config=CFG, workers=1,
+            config=CFG, workers=1, backend=name,
         )
         elapsed = time.time() - t0
         # Flits simulated during the measurement windows of the

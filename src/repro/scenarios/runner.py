@@ -1,14 +1,14 @@
 """One entry point for every simulation the repo can run (Layer 5).
 
-:func:`run_campaign` walks a campaign in order, dispatches each
-scenario to the right engine through the fork-pool transport of
-:mod:`repro.sim.parallel` — open-loop scenarios fan their
-(load × replica) grid across workers via
-:func:`~repro.sim.parallel.parallel_latency_vs_load`; runs of pending
-closed-loop scenarios are batched into one
-:func:`~repro.sim.parallel.parallel_workload_completion` call — and
-streams one JSON row per result to a JSONL file as each scenario
-completes.
+:func:`run_campaign` walks a campaign in order, splits its pending
+scenarios into work units (:func:`partition_units`: one open-loop
+scenario, or one batch of closed-loop scenarios), runs each unit
+through :func:`repro.service.units.execute_unit` — the same function
+service workers run — and streams one JSON row per result to a JSONL
+file as each scenario completes.  Inside a unit, open-loop scenarios
+fan their (load × replica) grid across workers via
+:func:`~repro.sim.parallel.parallel_latency_vs_load`, and a batch is
+one :func:`~repro.sim.parallel.parallel_workload_completion` call.
 
 Every row carries its scenario hash and its ``row``/``rows`` position,
 so the output is self-describing and resumable: with ``resume=True``
@@ -26,10 +26,10 @@ Resume generalizes beyond one file through two opt-in transports
   store replay from it without simulating, and freshly simulated
   scenarios are written back — so any scenario ever simulated against
   the store, by any process on any host, is never re-simulated.
-- ``service=`` dispatches the pending work units through a
-  coordinator/worker scheduler (:mod:`repro.service.coordinator`)
-  instead of the local fork pools; rows stay byte-identical to an
-  in-process run at any worker/host count.
+- ``service=`` leases the same work units to a coordinator/worker
+  scheduler (:mod:`repro.service.coordinator`) instead of running
+  them in-process; rows stay byte-identical to an in-process run at
+  any worker/host count.
 
 Next to the JSONL, the runner writes a provenance sidecar
 (``<out>.meta.json``): the campaign name, package version, worker
@@ -66,12 +66,7 @@ from repro.scenarios.spec import (
     scenario_hash,
     splice_campaign,
 )
-from repro.sim.parallel import (
-    CompletionTask,
-    parallel_latency_vs_load,
-    parallel_workload_completion,
-    simulations_started,
-)
+from repro.sim.parallel import parallel_latency_vs_load, simulations_started
 from repro.sim.stats import LoadPoint, WorkloadResult
 
 
@@ -130,9 +125,9 @@ def _open_scenario_payloads(
 ) -> tuple[list[dict], list[dict]]:
     """Resolve and run one open-loop scenario into (rows, metrics).
 
-    The single execution path shared by the local dispatch loop and
-    the service worker (:mod:`repro.service.units`), so remote and
-    local rows cannot drift.  A faulted scenario whose degraded
+    The single execution path of an open-loop unit
+    (:mod:`repro.service.units`), wherever the unit runs, so remote
+    and local rows cannot drift.  A faulted scenario whose degraded
     topology fell apart short-circuits into structured
     ``disconnected`` rows — one per load point, null latency and
     throughput — without touching the simulator (routing tables over
@@ -515,8 +510,7 @@ def partition_units(
 ) -> list[tuple[str, list[int]]]:
     """Split the pending scenarios into schedulable work units.
 
-    The unit boundaries replicate the local dispatch loop exactly: an
-    open-loop scenario is one unit; a run of pending closed-loop
+    An open-loop scenario is one unit; a run of pending closed-loop
     scenarios — consecutive modulo already-cached neighbours, stopping
     at the next pending open-loop scenario — forms one batch unit (the
     grain :func:`~repro.sim.parallel.parallel_workload_completion`
@@ -571,9 +565,9 @@ def run_campaign(
     ``store_hits``) and fresh results are written back, so the store
     memoizes across files, processes, and hosts while the output stays
     byte-identical to a cold run.  ``service`` (a
-    :class:`~repro.service.coordinator.ServiceConfig`) dispatches the
-    pending work units through the coordinator/worker scheduler
-    instead of the local fork pools — same rows, any host count.
+    :class:`~repro.service.coordinator.ServiceConfig`) leases the
+    pending work units to the coordinator/worker scheduler instead of
+    running them in-process — same rows, any host count.
 
     A campaign whose every scenario is already covered by the resume
     file and/or the store is recognised *before* any spec resolution,
@@ -731,14 +725,9 @@ def run_campaign(
             # pool — O(hash count) + the byte replay.
             for i in range(len(scenarios)):
                 _replay_cached(i)
-        elif service is not None:
-            _run_service(
-                campaign, scenarios, hashes, pending, workers, service,
-                report, progress, _replay_cached, _record_simulated,
-            )
         else:
-            _run_local(
-                campaign, scenarios, hashes, pending, workers,
+            _run_units(
+                campaign, scenarios, pending, workers, service,
                 report, progress, _replay_cached, _record_simulated,
             )
     finally:
@@ -783,106 +772,9 @@ def run_campaign(
     return report
 
 
-def _run_local(
+def _run_units(
     campaign: Campaign,
     scenarios: Sequence[Scenario],
-    hashes: Sequence[str],
-    pending: Sequence[bool],
-    workers: int,
-    report: CampaignReport,
-    progress: bool,
-    replay_cached,
-    record_simulated,
-) -> None:
-    """The in-process dispatch loop (fork-pool transports of Layer 3)."""
-    i = 0
-    while i < len(scenarios):
-        s = scenarios[i]
-        if not pending[i]:
-            replay_cached(i)
-            i += 1
-        elif s.engine == "open":
-            _heartbeat(
-                report, progress, event="scenario_start",
-                campaign=campaign.name, scenario=hashes[i], label=s.label,
-                index=i, of=len(scenarios), workers=workers,
-            )
-            t0 = time.perf_counter()
-            sims0 = simulations_started()
-            payload, metrics = _open_scenario_payloads(s, workers)
-            wall = time.perf_counter() - t0
-            sims = simulations_started() - sims0
-            record_simulated(i, payload, metrics)
-            _heartbeat(
-                report, progress, event="scenario_finish",
-                campaign=campaign.name, scenario=hashes[i], label=s.label,
-                index=i, of=len(scenarios), workers=workers,
-                wall_s=round(wall, 3), sims=sims,
-                sims_per_s=_sims_per_s(sims, wall),
-            )
-            i += 1
-        else:
-            # Batch the pending closed-loop scenarios of the window
-            # [i, j): consecutive modulo cached/closed neighbours,
-            # stopping at the next pending open-loop scenario.
-            j = i
-            batch: list[int] = []
-            while j < len(scenarios) and not (
-                pending[j] and scenarios[j].engine == "open"
-            ):
-                if pending[j]:
-                    batch.append(j)
-                j += 1
-            tasks = []
-            for k in batch:
-                r = resolve(scenarios[k])
-                tasks.append(
-                    CompletionTask(
-                        topology=r.topology,
-                        routing_factory=r.routing_factory,
-                        workload=r.workload,
-                        config=r.config,
-                        max_cycles=scenarios[k].max_cycles,
-                        label=scenarios[k].label,
-                        backend=r.backend,
-                    )
-                )
-            if batch:
-                _heartbeat(
-                    report, progress, event="batch_start",
-                    campaign=campaign.name, engine="closed",
-                    scenarios=len(batch), index=i, of=len(scenarios),
-                    workers=workers,
-                )
-            t0 = time.perf_counter()
-            sims0 = simulations_started()
-            results = dict(
-                zip(batch, parallel_workload_completion(tasks, workers=workers))
-            )
-            wall = time.perf_counter() - t0
-            sims = simulations_started() - sims0
-            if batch:
-                _heartbeat(
-                    report, progress, event="batch_finish",
-                    campaign=campaign.name, engine="closed",
-                    scenarios=len(batch), index=i, of=len(scenarios),
-                    workers=workers, wall_s=round(wall, 3), sims=sims,
-                    sims_per_s=_sims_per_s(sims, wall),
-                )
-            for k in range(i, j):
-                if k in results:
-                    record_simulated(
-                        k, _closed_payload(scenarios[k], results[k]), []
-                    )
-                else:
-                    replay_cached(k)
-            i = j
-
-
-def _run_service(
-    campaign: Campaign,
-    scenarios: Sequence[Scenario],
-    hashes: Sequence[str],
     pending: Sequence[bool],
     workers: int,
     service,
@@ -891,16 +783,15 @@ def _run_service(
     replay_cached,
     record_simulated,
 ) -> None:
-    """Dispatch the pending units through the coordinator scheduler.
+    """Run the pending work units; emit every scenario in campaign order.
 
-    The coordinator completes units in whatever order workers finish
-    them but hands them back here in campaign order, so rows stream to
-    the output file deterministically: cached scenarios interleave at
-    their campaign positions, exactly like the local loop.
+    Each unit runs through :func:`repro.service.units.execute_unit`.
+    In-process, cached scenarios up to a unit's first index replay
+    before it runs, and its own scenarios, with the cached ones inside
+    its window, are emitted after it.  With ``service`` set the
+    coordinator leases the units, runs them in whatever order workers
+    finish them, and hands them back here in campaign order.
     """
-    from repro.service.coordinator import Coordinator
-
-    units = partition_units(scenarios, pending)
     next_idx = 0
 
     def emit_cached_until(limit: int) -> None:
@@ -919,11 +810,30 @@ def _run_service(
         record_simulated(k, payload["rows"], payload.get("metrics", []))
         next_idx = k + 1
 
-    coordinator = Coordinator(
-        campaign.name, scenarios, service, local_workers=workers,
-        heartbeat=lambda **fields: _heartbeat(report, progress, **fields),
-    )
-    coordinator.execute(units, on_scenario)
+    def heartbeat(**fields) -> None:
+        _heartbeat(report, progress, **fields)
+
+    units = partition_units(scenarios, pending)
+    if service is not None:
+        from repro.service.coordinator import Coordinator
+
+        coordinator = Coordinator(
+            campaign.name, scenarios, service, local_workers=workers,
+            heartbeat=heartbeat,
+        )
+        coordinator.execute(units, on_scenario)
+    else:
+        # Lazy import: the unit layer builds its rows with this module.
+        from repro.service.units import UnitEntry, execute_unit
+
+        for kind, indices in units:
+            emit_cached_until(indices[0])
+            entries = [UnitEntry(k, len(scenarios), scenarios[k]) for k in indices]
+            payloads, _ = execute_unit(
+                campaign.name, kind, entries, workers, heartbeat=heartbeat
+            )
+            for k, payload in zip(indices, payloads):
+                on_scenario(k, payload)
     emit_cached_until(len(scenarios))
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from repro.routing.registry import FAULT_AWARE, ROUTING_BUILDERS, SEEDED
@@ -411,6 +412,15 @@ class Scenario:
                     f"scenarios need one of {sorted(FAULT_AWARE)}"
                 )
         self.loads = [float(x) for x in self.loads]
+        # The sweep walk assumes real loads in ascending order: past a
+        # saturated point a lower load would become an unsimulated fill
+        # row, and NaN would write non-JSON rows.
+        if not all(math.isfinite(x) and x > 0 for x in self.loads) or any(
+            a >= b for a, b in zip(self.loads, self.loads[1:])
+        ):
+            raise ValueError(
+                f"loads must be finite, > 0 and strictly ascending, got {self.loads}"
+            )
 
     def revalidate(self) -> None:
         """Re-run every spec's invariant checks and normalisations.

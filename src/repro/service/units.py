@@ -3,10 +3,11 @@
 A *unit* is the scheduling grain produced by
 :func:`repro.scenarios.runner.partition_units`: one open-loop scenario,
 or one batch of consecutive pending closed-loop scenarios.  This module
-owns the single code path that turns a unit into result payloads — the
-worker runs it for leased units, and the coordinator runs the very same
-function for its in-process fallback — so remote and local execution
-cannot drift apart.
+owns the single code path that turns a unit into result payloads.
+:func:`~repro.scenarios.runner.run_campaign` runs it for every unit of
+a local campaign, service workers run it for leased units, and the
+coordinator runs it for its in-process fallback, so remote and local
+execution cannot drift apart.
 
 Payloads are built by the runner's own row builders, which is what
 makes the service byte-transparent: a row that crossed the wire is
@@ -78,8 +79,8 @@ def execute_unit(
     Returns one payload dict per entry, in entry order —
     ``{"scenario": hash, "rows": [...], "metrics": [...]}`` — plus the
     number of simulations the unit scheduled.  ``heartbeat`` receives
-    the same scenario_start/finish (open) or batch_start/finish
-    (closed) events the local runner loop emits.
+    its scenario_start/finish (open) or batch_start/finish (closed)
+    events, the same wherever the unit runs.
     """
 
     def _emit(**fields) -> None:
@@ -91,28 +92,21 @@ def execute_unit(
     if kind == "open":
         (entry,) = entries
         s = entry.scenario
+        h = scenario_hash(s)
         _emit(
-            event="scenario_start", campaign=campaign,
-            scenario=scenario_hash(s), label=s.label,
-            index=entry.index, of=entry.of, workers=workers,
+            event="scenario_start", campaign=campaign, scenario=h,
+            label=s.label, index=entry.index, of=entry.of, workers=workers,
         )
         rows, metrics = _open_scenario_payloads(s, workers)
         wall = time.perf_counter() - t0
         sims = simulations_started() - sims0
         _emit(
-            event="scenario_finish", campaign=campaign,
-            scenario=scenario_hash(s), label=s.label,
-            index=entry.index, of=entry.of, workers=workers,
+            event="scenario_finish", campaign=campaign, scenario=h,
+            label=s.label, index=entry.index, of=entry.of, workers=workers,
             wall_s=round(wall, 3), sims=sims,
             sims_per_s=_sims_per_s(sims, wall),
         )
-        payloads = [
-            {
-                "scenario": scenario_hash(s),
-                "rows": rows,
-                "metrics": metrics,
-            }
-        ]
+        payloads = [{"scenario": h, "rows": rows, "metrics": metrics}]
     elif kind == "closed":
         tasks = []
         for entry in entries:

@@ -16,11 +16,12 @@ Modules
   the closed-loop (workload) variant :class:`ClosedLoopEngine`.
 - :mod:`repro.sim.stats` — results (latency, accepted throughput,
   workload completion).
-- :mod:`repro.sim.sweep` — latency-vs-offered-load curve helper.
-- :mod:`repro.sim.parallel` — multiprocessing orchestrators (load
-  sweeps and closed-loop workload points).
-- :mod:`repro.sim.backends` — the engine-backend registry (``cycle``
-  and ``flow`` fidelities behind one sweep/simulate contract).
+- :mod:`repro.sim.sweep` — the serial latency-vs-offered-load sweep
+  and curve statistics.
+- :mod:`repro.sim.parallel` — the one load-sweep walk and the fork
+  pool it shares with closed-loop workload points.
+- :mod:`repro.sim.backends` — the engine-backend registry (``cycle``,
+  ``cycle-vec`` and ``flow`` fidelities behind one simulate contract).
 - :mod:`repro.sim.flowlevel` — the flow-level fluid solver (steady-
   state link rates; paper-scale sweeps).
 - :mod:`repro.sim.telemetry` — the opt-in probe plane (latency

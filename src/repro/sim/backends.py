@@ -23,12 +23,14 @@ three implementations selected by name (the ``backend`` axis of a
   byte-identical across worker counts (it consumes no RNG and runs
   in-process).
 
-Every backend answers the same two questions — one load point
+Every backend answers the same question — one load point
 (:meth:`EngineBackend.simulate` -> :class:`~repro.sim.stats.SimResult`)
-and one load sweep (:meth:`EngineBackend.sweep` ->
-:class:`~repro.sim.stats.LoadPoint` rows) — so campaigns can grid over
-fidelities and the analysis layer can overlay their curves.  Rows carry
-the backend under the ``fidelity`` key.
+— plus one per-sweep hook, :meth:`EngineBackend.point_simulator`,
+which the one load-sweep walk
+(:func:`repro.sim.parallel.parallel_latency_vs_load`) calls once per
+curve.  Campaigns can therefore grid over fidelities, and the analysis
+layer can overlay their curves.  Rows carry the backend under the
+``fidelity`` key.
 
 The determinism contracts are deliberately different and all load-
 bearing (see DESIGN.md, "Layer 2 — backends"): ``cycle`` must stay bit
@@ -42,10 +44,10 @@ engine by the cross-fidelity tolerance suite.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.sim.config import SimConfig
-from repro.sim.stats import LoadPoint, SimResult
+from repro.sim.stats import SimResult
 from repro.sim.telemetry import TelemetrySpec
 
 
@@ -62,14 +64,26 @@ class EngineBackend(ABC):
         One-line statement of the backend's determinism contract.
     supports_closed_loop:
         Whether workload (closed-loop) scenarios can dispatch here.
+    pure:
+        Whether a point is a pure function of its inputs (no RNG, no
+        scheduling).  The sweep walk then solves each load once,
+        in-process, and ignores ``workers`` and ``replicas``.
     """
 
     name: str = "backend"
     fidelity: str = ""
     determinism: str = ""
     supports_closed_loop: bool = False
+    pure: bool = False
 
     @abstractmethod
+    def engine(self) -> Callable[..., SimResult]:
+        """The engine's one-point function, imported on first use.
+
+        Called as ``engine(topology, routing, traffic, offered_load,
+        config, telemetry=...)``.
+        """
+
     def simulate(
         self,
         topology,
@@ -86,26 +100,32 @@ class EngineBackend(ABC):
         zero-cost path with bit-identical results to a probe-free
         build.
         """
+        return self.engine()(
+            topology, routing, traffic, offered_load, config,
+            telemetry=telemetry,
+        )
 
-    @abstractmethod
-    def sweep(
+    def point_simulator(
         self,
         topology,
         routing_factory: Callable[[], object],
         traffic,
-        loads: Sequence[float],
-        config: SimConfig | None = None,
-        workers: int | None = 1,
-        replicas: int = 1,
-        stop_after_saturation: int = 1,
         telemetry: TelemetrySpec | None = None,
-    ) -> list[LoadPoint]:
-        """Latency-vs-load curve with the shared sweep semantics.
+    ) -> Callable[[float, SimConfig], SimResult]:
+        """The ``(load, config) -> SimResult`` function of one sweep.
 
-        All backends honour the same row contract: ascending loads,
-        saturation short-circuit fill rows, and worker-count
-        independent results.
+        The default calls the engine directly with a fresh routing per
+        point, so stateful RNG streams never leak between points.
         """
+        engine = self.engine()
+
+        def simulate_point(load: float, config: SimConfig) -> SimResult:
+            return engine(
+                topology, routing_factory(), traffic, load, config,
+                telemetry=telemetry,
+            )
+
+        return simulate_point
 
 
 class CycleBackend(EngineBackend):
@@ -119,43 +139,10 @@ class CycleBackend(EngineBackend):
     )
     supports_closed_loop = True
 
-    def simulate(
-        self, topology, routing, traffic, offered_load, config=None,
-        telemetry=None,
-    ):
+    def engine(self):
         from repro.sim.engine import simulate
 
-        return simulate(
-            topology, routing, traffic, offered_load, config,
-            telemetry=telemetry,
-        )
-
-    def sweep(
-        self,
-        topology,
-        routing_factory,
-        traffic,
-        loads,
-        config=None,
-        workers=1,
-        replicas=1,
-        stop_after_saturation=1,
-        telemetry=None,
-    ):
-        from repro.sim.parallel import parallel_latency_vs_load
-
-        return parallel_latency_vs_load(
-            topology,
-            routing_factory,
-            traffic,
-            loads=loads,
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            backend="cycle",
-            telemetry=telemetry,
-        )
+        return simulate
 
 
 class CycleVecBackend(EngineBackend):
@@ -175,54 +162,20 @@ class CycleVecBackend(EngineBackend):
     )
     supports_closed_loop = True
 
-    def simulate(
-        self, topology, routing, traffic, offered_load, config=None,
-        telemetry=None,
-    ):
+    def engine(self):
         from repro.sim.engine_vec import vec_simulate
 
-        return vec_simulate(
-            topology, routing, traffic, offered_load, config,
-            telemetry=telemetry,
-        )
-
-    def sweep(
-        self,
-        topology,
-        routing_factory,
-        traffic,
-        loads,
-        config=None,
-        workers=1,
-        replicas=1,
-        stop_after_saturation=1,
-        telemetry=None,
-    ):
-        from repro.sim.parallel import parallel_latency_vs_load
-
-        return parallel_latency_vs_load(
-            topology,
-            routing_factory,
-            traffic,
-            loads=loads,
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            backend="cycle-vec",
-            telemetry=telemetry,
-        )
+        return vec_simulate
 
 
 class FlowBackend(EngineBackend):
     """The flow-level fluid solver (:mod:`repro.sim.flowlevel`).
 
-    ``workers`` and ``replicas`` are accepted for signature parity and
-    ignored: the model is deterministic (no RNG, no scheduling), so a
-    replica average equals the single solution and the in-process
-    computation is byte-identical at any worker count — the property
-    CI pins with a ``cmp`` between ``--workers 1`` and ``--workers 4``
-    campaign outputs.
+    The model is deterministic (no RNG, no scheduling), so it is
+    ``pure``: a replica average equals the single solution, and the
+    in-process computation is byte-identical at any worker count — the
+    property CI pins with a ``cmp`` between ``--workers 1`` and
+    ``--workers 4`` campaign outputs.
     """
 
     name = "flow"
@@ -232,44 +185,20 @@ class FlowBackend(EngineBackend):
         "rows byte-identical across worker counts and reruns"
     )
     supports_closed_loop = False
+    pure = True
 
-    def simulate(
-        self, topology, routing, traffic, offered_load, config=None,
-        telemetry=None,
-    ):
+    def engine(self):
         from repro.sim.flowlevel import flow_simulate
 
-        return flow_simulate(
-            topology, routing, traffic, offered_load, config,
-            telemetry=telemetry,
-        )
+        return flow_simulate
 
-    def sweep(
-        self,
-        topology,
-        routing_factory,
-        traffic,
-        loads,
-        config=None,
-        workers=1,
-        replicas=1,
-        stop_after_saturation=1,
-        telemetry=None,
-    ):
-        from repro.sim.flowlevel import flow_sweep
+    def point_simulator(self, topology, routing_factory, traffic, telemetry=None):
+        """Build the :class:`~repro.sim.flowlevel.FlowModel` once per
+        sweep; each load is then a cheap solve."""
+        from repro.sim.flowlevel import FlowModel
 
-        # Solved points are counted inside FlowModel.sweep (one per
-        # non-short-circuited load), matching the cycle counter's
-        # scheduled == executed semantics.
-        return flow_sweep(
-            topology,
-            routing_factory,
-            traffic,
-            loads,
-            config=config,
-            stop_after_saturation=stop_after_saturation,
-            telemetry=telemetry,
-        )
+        model = FlowModel(topology, routing_factory(), traffic)
+        return lambda load, config: model.simulate(load, config, telemetry)
 
 
 #: name -> backend singleton (backends are stateless dispatchers).

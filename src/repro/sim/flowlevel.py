@@ -679,63 +679,13 @@ class FlowModel:
             telemetry=tele_result,
         )
 
-    def sweep(
-        self,
-        loads,
-        config: SimConfig | None = None,
-        stop_after_saturation: int = 1,
-        telemetry: TelemetrySpec | None = None,
-    ) -> list[LoadPoint]:
-        """Ascending-load walk with the cycle sweep's fill semantics.
-
-        Points past ``stop_after_saturation`` consecutive saturated
-        loads are marked (latency ``None``, last measured accepted) —
-        byte-compatible with :func:`repro.sim.sweep.latency_vs_load`
-        rows, so cycle and flow curves overlay in the same figures.
-        """
-        # Lazy import: parallel's counter is shared across backends,
-        # and parallel itself only imports this module on demand.
-        from repro.sim.parallel import _count_simulations
-
-        points: list[LoadPoint] = []
-        run = 0
-        last_accepted: float | None = None
-        for load in loads:
-            if run >= stop_after_saturation:
-                points.append(
-                    LoadPoint(
-                        load=load, latency=None, accepted=last_accepted,
-                        saturated=True,
-                    )
-                )
-                continue
-            _count_simulations(1)
-            result = self.simulate(load, config, telemetry)
-            latency = (
-                None
-                if result.saturated and result.delivered == 0
-                else result.avg_latency
-            )
-            points.append(
-                LoadPoint(
-                    load=load,
-                    latency=latency,
-                    accepted=result.accepted_load,
-                    saturated=result.saturated,
-                    telemetry=result.telemetry,
-                )
-            )
-            run = run + 1 if result.saturated else 0
-            last_accepted = result.accepted_load
-        return points
-
     def saturation_load(
         self, loads, config: SimConfig | None = None
     ) -> float | None:
-        """First offered load of the schedule marked saturated."""
-        for pt in self.sweep(loads, config):
-            if pt.saturated:
-                return pt.load
+        """First offered load of the schedule that saturates."""
+        for load in loads:
+            if self.simulate(load, config).saturated:
+                return load
         return None
 
 
@@ -783,9 +733,17 @@ def flow_sweep(
 ) -> list[LoadPoint]:
     """Latency-vs-load curve under the flow-level model.
 
-    Signature-compatible with the cycle sweeps (the backend registry's
-    dispatch target).  The model is deterministic and in-process, so
-    rows are byte-identical for any worker count by construction.
+    The ``flow`` backend's entry into the one load-sweep walk
+    (:func:`repro.sim.parallel.parallel_latency_vs_load`): one
+    :class:`FlowModel`, one solve per load up to the saturation
+    cutoff, and fill rows after it — the same row contract as the
+    cycle sweeps, so cycle and flow curves overlay in the same figures.
     """
-    model = FlowModel(topology, routing_factory(), traffic)
-    return model.sweep(loads, config, stop_after_saturation, telemetry)
+    # Lazy import: the walk (Layer 3) sits above this engine module.
+    from repro.sim.parallel import parallel_latency_vs_load
+
+    return parallel_latency_vs_load(
+        topology, routing_factory, traffic, loads, config,
+        stop_after_saturation=stop_after_saturation, backend="flow",
+        telemetry=telemetry,
+    )

@@ -1,29 +1,34 @@
-"""Parallel sweep orchestrator (DESIGN.md, Layer 3).
+"""The load-sweep walk and the fork pool it shares (DESIGN.md, Layer 3).
 
-Fans the (offered load × seed replica) grid of a latency-vs-load
-experiment across ``multiprocessing`` workers and returns the same
-:class:`~repro.sim.stats.LoadPoint` rows the serial
-:func:`~repro.sim.sweep.latency_vs_load` produces:
+:func:`parallel_latency_vs_load` is the one latency-vs-load walk in the
+repo: every backend, every worker count, and the serial wrappers
+:func:`~repro.sim.sweep.latency_vs_load` and
+:func:`~repro.sim.flowlevel.flow_sweep` run through it.
 
+- **The walk** — loads run in ascending waves of ``workers //
+  replicas`` points (one point per wave at one worker).  After each
+  wave the saturation cutoff is re-checked: once
+  ``stop_after_saturation`` consecutive points saturated, every later
+  load becomes a fill row (latency ``None``, the last measured
+  accepted load), and points a wave computed past the cutoff are
+  discarded.  Rows are therefore independent of the worker count,
+  and wasted work is bounded by one wave.
 - **Determinism** — each (point, replica) derives its RNG seed from
   the config seed and the replica index alone, so results are
-  identical for any worker count (including the in-process serial
-  fallback).  Replica 0 keeps the config seed itself, which makes a
-  1-replica parallel sweep bit-for-bit equal to the serial sweep.
-- **Saturation short-circuit** — the serial sweep stops simulating
-  after ``stop_after_saturation`` consecutive saturated points and
-  marks the tail.  The parallel runner schedules loads in
-  worker-sized waves (ascending), re-evaluates the cutoff after each
-  wave, and replaces any row past the cutoff with the same marked
-  ``LoadPoint`` — output equality is preserved while wasted work is
-  bounded by one wave.
-- **Worker transport** — tasks carry only ``(point, replica, load)``
-  tuples; the topology, routing factory (often an unpicklable
-  closure), traffic pattern and config are published in a module
-  global *before* the pool forks, so children inherit them by
-  copy-on-write.  This requires the ``fork`` start method; platforms
-  without it (Windows, macOS spawn default) transparently fall back
-  to the serial path.
+  identical for any worker count.  Replica 0 keeps the config seed
+  itself, which makes a 1-replica sweep equal to the serial one.
+- **Backends** — the walk asks the :mod:`repro.sim.backends` registry
+  for a per-sweep ``(load, config) -> SimResult`` function.  A backend
+  that is a pure function of its inputs (``flow``) is solved
+  in-process, once per load, whatever ``workers`` and ``replicas``
+  say.
+- **Worker transport** — :func:`_fork_map`, shared with
+  :func:`parallel_workload_completion`, publishes the mapped function
+  (often a closure over an unpicklable routing factory) in a module
+  global *before* the pool forks, so children inherit it by
+  copy-on-write and tasks carry only small items.  This requires the
+  ``fork`` start method; platforms without it (Windows, macOS spawn
+  default) map in-process.
 
 With ``replicas > 1`` each load point is simulated under several
 derived seeds and the row reports the replica mean (latency averaged
@@ -36,23 +41,24 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.sim.backends import get_backend
 from repro.sim.config import SimConfig
-from repro.sim.engine import simulate, simulate_workload
+from repro.sim.engine import simulate_workload
 from repro.sim.stats import LoadPoint, SimResult, WorkloadResult
-from repro.sim.sweep import default_loads
 from repro.sim.telemetry import TelemetrySpec, merge_telemetry
 
-#: Simulation inputs published to forked workers (set per sweep).
-_WORK: dict = {}
+#: The function the current fork pool maps (set per sweep or batch).
+_WORK: Callable | None = None
 
-#: Simulations scheduled by this process (serial runs and tasks handed
-#: to a pool alike) since import.  Scheduled == executed — waves only
-#: ever contain tasks that run — so the delta across a call is the
+#: Simulations scheduled by this process (in-process runs and tasks
+#: handed to a pool alike) since import.  Scheduled == executed — waves
+#: only ever contain tasks that run — so the delta across a call is the
 #: number of simulations it cost.  The campaign resume tests and CI
 #: assert a zero delta when every scenario is reused from cache.
 _SIMULATIONS_STARTED = 0
@@ -95,24 +101,6 @@ def replica_seed(base_seed: int, replica: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _simulate_task(task: tuple[int, int, float]) -> tuple[int, int, SimResult]:
-    """Run one (point, replica) simulation inside a worker."""
-    index, replica, load = task
-    topology = _WORK["topology"]
-    routing_factory = _WORK["routing_factory"]
-    traffic = _WORK["traffic"]
-    config: SimConfig = _WORK["config"]
-    sim_fn = _WORK.get("sim_fn", simulate)
-    telemetry = _WORK.get("telemetry")
-    seed = replica_seed(config.seed, replica)
-    if seed != config.seed:
-        config = replace(config, seed=seed)
-    result = sim_fn(
-        topology, routing_factory(), traffic, load, config, telemetry=telemetry
-    )
-    return index, replica, result
-
-
 def _aggregate(load: float, results: Sequence[SimResult]) -> LoadPoint:
     """Collapse one point's replica results into a LoadPoint row."""
     if len(results) == 1:
@@ -140,33 +128,6 @@ def _aggregate(load: float, results: Sequence[SimResult]) -> LoadPoint:
     )
 
 
-def _apply_short_circuit(
-    points: list[LoadPoint | None], loads: Sequence[float], stop_after_saturation: int
-) -> list[LoadPoint]:
-    """Replace rows past the saturation cutoff with marked points.
-
-    Replicates the serial sweep's walk: a point is *marked* (not
-    simulated) once ``stop_after_saturation`` consecutive earlier
-    points saturated, and marked rows carry the last measured
-    accepted throughput (identical to the serial fill).
-    """
-    out: list[LoadPoint] = []
-    run = 0
-    last_accepted: float | None = None
-    for load, pt in zip(loads, points):
-        if run >= stop_after_saturation or pt is None:
-            out.append(
-                LoadPoint(
-                    load=load, latency=None, accepted=last_accepted, saturated=True
-                )
-            )
-            continue
-        out.append(pt)
-        run = run + 1 if pt.saturated else 0
-        last_accepted = pt.accepted
-    return out
-
-
 def _fork_context():
     # fork is listed as available on macOS but is unsafe there once
     # Accelerate/CoreFoundation state exists (the reason CPython moved
@@ -188,6 +149,37 @@ def resolve_workers(workers: int | None, num_tasks: int) -> int:
     return max(1, min(workers, num_tasks))
 
 
+def default_loads(maximum: float = 1.0, points: int = 10) -> list[float]:
+    """Evenly spaced offered loads in (0, maximum]."""
+    step = maximum / points
+    return [round(step * (i + 1), 10) for i in range(points)]
+
+
+def _run_work(item):
+    return _WORK(item)
+
+
+@contextmanager
+def _fork_map(fn: Callable, workers: int):
+    """Yield ``map(items) -> list`` applying ``fn`` in one fork pool.
+
+    ``fn`` is published to :data:`_WORK` before the pool forks, so it
+    may close over anything; only ``items`` and results are pickled.
+    One worker, or a platform without ``fork``, maps in-process.
+    """
+    global _WORK
+    ctx = _fork_context() if workers > 1 else None
+    if ctx is None:
+        yield lambda items: [fn(item) for item in items]
+        return
+    _WORK = fn
+    try:
+        with ctx.Pool(processes=workers) as pool:
+            yield lambda items: pool.map(_run_work, items, chunksize=1)
+    finally:
+        _WORK = None
+
+
 def parallel_latency_vs_load(
     topology,
     routing_factory: Callable[[], object],
@@ -202,85 +194,58 @@ def parallel_latency_vs_load(
 ) -> list[LoadPoint]:
     """Latency-vs-load curve, fanned across processes.
 
-    Drop-in replacement for :func:`repro.sim.sweep.latency_vs_load`
-    (identical rows for ``replicas=1``, any ``workers``), plus seed
-    replication.  ``workers=None`` or ``0`` auto-sizes to the CPU
-    count; ``workers=1`` runs in-process.
-
-    ``backend`` selects the engine fidelity through the
-    :mod:`repro.sim.backends` registry; the fork pool below drives the
-    cycle-accurate engines (``"cycle"``, ``"cycle-vec"`` — both consume
-    per-replica RNG streams), while other backends (``"flow"``) solve
-    the sweep through their own dispatcher.
+    The walk described in the module docstring: identical rows for
+    any ``workers`` (``replicas=1`` equals the serial
+    :func:`repro.sim.sweep.latency_vs_load`), plus seed replication.
+    ``workers=None`` or ``0`` auto-sizes to the CPU count;
+    ``workers=1`` runs in-process.  ``backend`` selects the engine
+    fidelity through the :mod:`repro.sim.backends` registry.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if backend not in ("cycle", "cycle-vec"):
-        from repro.sim.backends import get_backend
-
-        return get_backend(backend).sweep(
-            topology,
-            routing_factory,
-            traffic,
-            loads if loads is not None else default_loads(),
-            config=config,
-            workers=workers,
-            replicas=replicas,
-            stop_after_saturation=stop_after_saturation,
-            telemetry=telemetry,
-        )
-    if backend == "cycle-vec":
-        from repro.sim.engine_vec import vec_simulate as sim_fn
-    else:
-        sim_fn = simulate
+    engine_backend = get_backend(backend)
     loads = list(loads) if loads is not None else default_loads()
     config = config or SimConfig()
+    if engine_backend.pure:
+        workers = replicas = 1
+    elif _fork_context() is None:
+        workers = 1
     workers = resolve_workers(workers, len(loads) * replicas)
-    ctx = _fork_context()
-    if workers <= 1 or ctx is None or not loads:
-        return _serial_sweep(
-            topology, routing_factory, traffic, loads, config, replicas,
-            stop_after_saturation, sim_fn, telemetry=telemetry,
-        )
-
-    global _WORK
-    points: list[LoadPoint | None] = [None] * len(loads)
-    loads_per_wave = max(1, workers // replicas)
-    _WORK = dict(
-        topology=topology,
-        routing_factory=routing_factory,
-        traffic=traffic,
-        config=config,
-        sim_fn=sim_fn,
-        telemetry=telemetry,
+    simulate_point = engine_backend.point_simulator(
+        topology, routing_factory, traffic, telemetry
     )
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            done = 0
-            run = 0
-            while done < len(loads) and run < stop_after_saturation:
-                wave = range(done, min(done + loads_per_wave, len(loads)))
-                tasks = [
-                    (i, rep, loads[i]) for i in wave for rep in range(replicas)
-                ]
-                _count_simulations(len(tasks))
-                by_point: dict[int, list[SimResult]] = {i: [] for i in wave}
-                for i, _rep, result in pool.map(_simulate_task, tasks, chunksize=1):
-                    by_point[i].append(result)
-                for i in wave:
-                    points[i] = _aggregate(loads[i], by_point[i])
-                done = wave[-1] + 1
-                # Re-evaluate the saturation cutoff over everything
-                # computed so far (waves may overshoot it; the marker
-                # pass below discards the overshoot).
-                run = 0
-                for pt in points[:done]:
-                    run = run + 1 if pt.saturated else 0
-                    if run >= stop_after_saturation:
-                        break
-    finally:
-        _WORK = {}
-    return _apply_short_circuit(points, loads, stop_after_saturation)
+    configs = [config] + [
+        replace(config, seed=replica_seed(config.seed, rep))
+        for rep in range(1, replicas)
+    ]
+
+    def run_point(item: tuple[float, int]) -> SimResult:
+        load, rep = item
+        return simulate_point(load, configs[rep])
+
+    per_wave = max(1, workers // replicas)
+    points: list[LoadPoint] = []
+    run = 0
+    with _fork_map(run_point, workers) as pool_map:
+        while len(points) < len(loads) and run < stop_after_saturation:
+            wave = loads[len(points) : len(points) + per_wave]
+            items = [(load, rep) for load in wave for rep in range(replicas)]
+            _count_simulations(len(items))
+            results = pool_map(items)
+            for k, load in enumerate(wave):
+                if run >= stop_after_saturation:
+                    break  # the wave overshot the cutoff
+                pt = _aggregate(load, results[k * replicas : (k + 1) * replicas])
+                points.append(pt)
+                run = run + 1 if pt.saturated else 0
+    # Fill rows carry the last measured accepted throughput (the
+    # curve's plateau), so tables keep a full accepted column.
+    accepted = points[-1].accepted if points else None
+    points += [
+        LoadPoint(load=load, latency=None, accepted=accepted, saturated=True)
+        for load in loads[len(points) :]
+    ]
+    return points
 
 
 @dataclass
@@ -304,28 +269,6 @@ class CompletionTask:
     backend: str = "cycle"
 
 
-def _completion_fn(backend: str):
-    """Closed-loop simulate function for a task's engine fidelity."""
-    if backend == "cycle-vec":
-        from repro.sim.engine_vec import vec_simulate_workload
-
-        return vec_simulate_workload
-    return simulate_workload
-
-
-def _workload_task(index: int) -> tuple[int, WorkloadResult]:
-    """Run one closed-loop task inside a worker."""
-    task: CompletionTask = _WORK["tasks"][index]
-    result = _completion_fn(task.backend)(
-        task.topology,
-        task.routing_factory(),
-        task.workload,
-        task.config,
-        task.max_cycles,
-    )
-    return index, result
-
-
 def parallel_workload_completion(
     tasks: Sequence[CompletionTask],
     workers: int | None = None,
@@ -337,69 +280,26 @@ def parallel_workload_completion(
     deterministic given its config seed, so the rows — including every
     per-message completion timestamp — are identical for any worker
     count (the acceptance bar of the workload experiment family).
-    Transport follows the sweep runner: tasks are published to the
-    fork-inherited module global and workers receive only indices, so
-    topologies/closures never pickle.  Each task names its engine
-    fidelity (:attr:`CompletionTask.backend`); ``cycle`` and
+    Transport is the sweep's :func:`_fork_map`: workers receive only
+    task indices, so topologies/closures never pickle.  Each task names
+    its engine fidelity (:attr:`CompletionTask.backend`); ``cycle`` and
     ``cycle-vec`` produce bit-identical rows, so mixing fidelities in
     one fan-out changes nothing but speed.
     """
     tasks = list(tasks)
     if not tasks:
         return []
-    workers = resolve_workers(workers, len(tasks))
     _count_simulations(len(tasks))
-    ctx = _fork_context()
-    if workers <= 1 or ctx is None:
-        return [
-            _completion_fn(t.backend)(
-                t.topology, t.routing_factory(), t.workload, t.config, t.max_cycles
-            )
-            for t in tasks
-        ]
-    global _WORK
-    _WORK = dict(tasks=tasks)
-    results: list[WorkloadResult | None] = [None] * len(tasks)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            for index, result in pool.map(
-                _workload_task, range(len(tasks)), chunksize=1
-            ):
-                results[index] = result
-    finally:
-        _WORK = {}
-    return results  # type: ignore[return-value]
 
+    def complete(index: int) -> WorkloadResult:
+        t = tasks[index]
+        if t.backend == "cycle-vec":
+            from repro.sim.engine_vec import vec_simulate_workload as engine
+        else:
+            engine = simulate_workload
+        return engine(
+            t.topology, t.routing_factory(), t.workload, t.config, t.max_cycles
+        )
 
-def _serial_sweep(
-    topology, routing_factory, traffic, loads, config, replicas,
-    stop_after_saturation, sim_fn=simulate, telemetry=None,
-) -> list[LoadPoint]:
-    """In-process path: identical semantics, no pool."""
-    points: list[LoadPoint] = []
-    run = 0
-    last_accepted: float | None = None
-    for index, load in enumerate(loads):
-        if run >= stop_after_saturation:
-            points.append(
-                LoadPoint(
-                    load=load, latency=None, accepted=last_accepted, saturated=True
-                )
-            )
-            continue
-        results = []
-        for rep in range(replicas):
-            seed = replica_seed(config.seed, rep)
-            cfg = config if seed == config.seed else replace(config, seed=seed)
-            _count_simulations(1)
-            results.append(
-                sim_fn(
-                    topology, routing_factory(), traffic, load, cfg,
-                    telemetry=telemetry,
-                )
-            )
-        pt = _aggregate(load, results)
-        points.append(pt)
-        run = run + 1 if pt.saturated else 0
-        last_accepted = pt.accepted
-    return points
+    with _fork_map(complete, resolve_workers(workers, len(tasks))) as pool_map:
+        return pool_map(range(len(tasks)))

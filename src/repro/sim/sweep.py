@@ -1,10 +1,11 @@
 """Latency-vs-offered-load curves (the x-axes of Figs 6 and 8).
 
-Runs the simulator across a load schedule and collects
-:class:`~repro.sim.stats.LoadPoint` rows.  Past saturation the
-open-loop latency diverges, so once a point saturates the sweep marks
-the remaining loads saturated instead of burning cycles on them
-(``stop_after_saturation``).
+:func:`latency_vs_load` is the serial entry point of the one load-sweep
+walk, :func:`repro.sim.parallel.parallel_latency_vs_load`: past
+saturation the open-loop latency diverges, so once a point saturates
+the walk marks the remaining loads saturated instead of burning cycles
+on them (``stop_after_saturation``).  The helpers below read
+statistics off the resulting :class:`~repro.sim.stats.LoadPoint` rows.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.sim.config import SimConfig
-from repro.sim.engine import simulate
-from repro.sim.stats import LoadPoint, SimResult
+from repro.sim.parallel import default_loads, parallel_latency_vs_load
+from repro.sim.stats import LoadPoint
 
-
-def default_loads(maximum: float = 1.0, points: int = 10) -> list[float]:
-    """Evenly spaced offered loads in (0, maximum]."""
-    step = maximum / points
-    return [round(step * (i + 1), 10) for i in range(points)]
+__all__ = [
+    "default_loads", "find_saturation_load", "latency_vs_load", "max_accepted",
+]
 
 
 def latency_vs_load(
@@ -30,43 +29,17 @@ def latency_vs_load(
     config: SimConfig | None = None,
     stop_after_saturation: int = 1,
 ) -> list[LoadPoint]:
-    """Simulate each offered load and return curve points.
+    """Simulate each offered load on the cycle engine, in-process.
 
     ``routing_factory`` builds a fresh routing instance per load so
     stateful RNG streams do not leak between runs (determinism per
     point).  ``stop_after_saturation`` counts how many consecutive
     saturated points to simulate before short-circuiting the rest.
     """
-    loads = list(loads) if loads is not None else default_loads()
-    points: list[LoadPoint] = []
-    saturated_run = 0
-    last_accepted: float | None = None
-    for load in loads:
-        if saturated_run >= stop_after_saturation:
-            # Short-circuited rows carry the last measured accepted
-            # throughput (the curve's plateau) so downstream tables
-            # keep a full accepted column past the cutoff.
-            points.append(
-                LoadPoint(
-                    load=load, latency=None, accepted=last_accepted, saturated=True
-                )
-            )
-            continue
-        result: SimResult = simulate(
-            topology, routing_factory(), traffic, load, config
-        )
-        latency = None if result.saturated and result.delivered == 0 else result.avg_latency
-        points.append(
-            LoadPoint(
-                load=load,
-                latency=latency,
-                accepted=result.accepted_load,
-                saturated=result.saturated,
-            )
-        )
-        saturated_run = saturated_run + 1 if result.saturated else 0
-        last_accepted = result.accepted_load
-    return points
+    return parallel_latency_vs_load(
+        topology, routing_factory, traffic, loads, config, workers=1,
+        stop_after_saturation=stop_after_saturation,
+    )
 
 
 def find_saturation_load(points: list[LoadPoint]) -> float | None:

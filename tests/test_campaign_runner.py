@@ -261,6 +261,91 @@ class TestResume:
         )
         assert report.simulated == 1 and report.skipped == 0
 
+    #: Open, closed, open, closed, open: every resume with holes mixes
+    #: single-scenario units, batches and cached neighbours.
+    HOLES_KINDS = ("open", "closed", "open", "closed", "open")
+
+    @pytest.fixture(scope="class")
+    def holes_clean(self, tmp_path_factory):
+        """The 5-scenario holes campaign and its clean run's bytes."""
+        campaign = Campaign("holes", [
+            open_scenario(f"open-{k}", seed=k) if kind == "open"
+            else closed_scenario(f"closed-{k}", seed=k)
+            for k, kind in enumerate(self.HOLES_KINDS)
+        ])
+        out = tmp_path_factory.mktemp("holes") / "clean.jsonl"
+        run_campaign(campaign, out=out)
+        return campaign, out.read_bytes()
+
+    @classmethod
+    def holes_events(cls, cached) -> list[tuple[str, int]]:
+        """The ``(event, index)`` sequence of a resume that finds
+        ``cached`` complete: a pending open scenario starts and
+        finishes in place; a pending closed one opens a batch over the
+        pending closed scenarios up to the next pending open one, and
+        the cached scenarios inside that window replay after it."""
+        kinds = cls.HOLES_KINDS
+        events: list[tuple[str, int]] = []
+        i = 0
+        while i < len(kinds):
+            if i in cached:
+                events.append(("scenario_cached", i))
+                i += 1
+            elif kinds[i] == "open":
+                events += [("scenario_start", i), ("scenario_finish", i)]
+                i += 1
+            else:
+                j = i
+                while j < len(kinds) and (j in cached or kinds[j] == "closed"):
+                    j += 1
+                events += [("batch_start", i), ("batch_finish", i)]
+                events += [("scenario_cached", k) for k in range(i, j) if k in cached]
+                i = j
+        return events
+
+    #: Literal sequences for three subsets (start, finish and cached
+    #: stand for scenario_start, scenario_finish and scenario_cached).
+    HOLES_PINNED = {
+        frozenset({1, 3}): [
+            ("scenario_start", 0), ("scenario_finish", 0), ("scenario_cached", 1),
+            ("scenario_start", 2), ("scenario_finish", 2), ("scenario_cached", 3),
+            ("scenario_start", 4), ("scenario_finish", 4),
+        ],
+        frozenset({0, 2, 4}): [
+            ("scenario_cached", 0), ("batch_start", 1), ("batch_finish", 1),
+            ("scenario_cached", 2), ("scenario_cached", 4),
+        ],
+        frozenset({2}): [
+            ("scenario_start", 0), ("scenario_finish", 0), ("batch_start", 1),
+            ("batch_finish", 1), ("scenario_cached", 2), ("scenario_start", 4),
+            ("scenario_finish", 4),
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "cached",
+        [frozenset(k for k in range(5) if mask >> k & 1) for mask in range(32)],
+        ids=lambda cached: "cached-" + ("".join(map(str, sorted(cached))) or "none"),
+    )
+    def test_resume_with_holes_byte_identical_in_event_order(
+        self, tmp_path, holes_clean, cached
+    ):
+        campaign, clean = holes_clean
+        lines = clean.splitlines(keepends=True)
+        hashes = [scenario_hash(s) for s in campaign.scenarios]
+        out = tmp_path / "rows.jsonl"
+        out.write_bytes(b"".join(
+            line for line in lines
+            if hashes.index(json.loads(line)["scenario"]) in cached
+        ))
+        report = run_campaign(campaign, out=out, resume=True)
+        assert out.read_bytes() == clean
+        assert report.skipped == len(cached)
+        assert report.simulated == 5 - len(cached)
+        events = [(e["event"], e["index"]) for e in report.events if "index" in e]
+        assert events == self.holes_events(cached)
+        assert events == self.HOLES_PINNED.get(cached, events)
+
     def test_noop_resume_never_resolves_a_topology(self, tmp_path, monkeypatch):
         """A fully-cached resume short-circuits before spec resolution:
         O(hash count) plus the byte replay, no topology construction."""

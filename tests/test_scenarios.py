@@ -203,6 +203,19 @@ class TestValidation:
     def test_replicas_bounds(self):
         with pytest.raises(ValueError, match="replicas"):
             open_scenario(replicas=0)
+        # The sweep walk needs finite, positive, strictly ascending
+        # loads: anything else published fill rows for loads never
+        # simulated, or non-JSON NaN rows.
+        bad = ([0.3, 0.1], [0.1, 0.1], [float("nan")], [float("inf")], [-0.5], [0.0])
+        for loads in bad:
+            with pytest.raises(ValueError, match="strictly ascending"):
+                open_scenario(loads=loads)
+        data = open_scenario().to_dict()
+        data["loads"] = [0.5, 0.2]
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Scenario.from_dict(data)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Campaign.from_grid("bad", open_scenario(), {"loads": [[0.2, 0.2]]})
 
     def test_engine_foreign_axes_rejected(self):
         with pytest.raises(ValueError, match="open-loop axis"):

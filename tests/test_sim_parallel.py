@@ -2,7 +2,7 @@
 
 Covers the sweep-behavior checklist: serial-vs-parallel row equality,
 seed determinism across worker counts, the saturation short-circuit,
-and replica aggregation.
+replica aggregation, and the walk's simulation count on every backend.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.sim import (
     latency_vs_load,
     parallel_latency_vs_load,
     replica_seed,
+    simulations_started,
 )
 from repro.sim.parallel import resolve_workers
 from repro.traffic import UniformRandom
@@ -25,6 +26,37 @@ LOADS = [0.1, 0.35, 0.6, 0.85]
 @pytest.fixture
 def uniform(sf5):
     return UniformRandom(sf5.num_endpoints)
+
+
+#: VAL curves on SF q=5, memoized across the short-circuit cases.
+_VAL_CURVES: dict = {}
+
+
+def val_curve(sf5, tables, traffic, loads, workers, replicas=1, stop=1):
+    """A memoized VAL curve; ``workers=None`` is the serial sweep."""
+    key = (tuple(loads), workers, replicas, stop)
+    if key not in _VAL_CURVES:
+        factory = lambda: ValiantRouting(tables, seed=1)  # noqa: E731
+        if workers is None:
+            curve = latency_vs_load(
+                sf5, factory, traffic, loads=loads, config=CFG,
+                stop_after_saturation=stop,
+            )
+        else:
+            curve = parallel_latency_vs_load(
+                sf5, factory, traffic, loads=loads, config=CFG,
+                workers=workers, replicas=replicas, stop_after_saturation=stop,
+            )
+        _VAL_CURVES[key] = curve
+    return _VAL_CURVES[key]
+
+
+#: Every short-circuit case runs at each of these fan-outs.
+_FAN_OUT_CASES = [(w, r, s) for w in (1, 2, 3, 4) for r in (1, 2) for s in (1, 2)]
+FAN_OUTS = pytest.mark.parametrize(
+    "workers,replicas,stop", _FAN_OUT_CASES,
+    ids=[f"w{w}-r{r}-stop{s}" for w, r, s in _FAN_OUT_CASES],
+)
 
 
 class TestSerialParallelEquivalence:
@@ -98,58 +130,108 @@ class TestCycleVecDispatch:
 
 
 class TestSaturationShortCircuit:
-    def test_tail_marked_not_simulated(self, sf5, sf5_tables, uniform):
+    """Each case at workers x replicas x stop_after_saturation, against
+    its ``workers=1`` curve (and, at one replica, the serial sweep)."""
+
+    @staticmethod
+    def checked_curve(sf5, sf5_tables, uniform, loads, workers, replicas, stop):
+        curve = val_curve(sf5, sf5_tables, uniform, loads, workers, replicas, stop)
+        baseline = val_curve(sf5, sf5_tables, uniform, loads, 1, replicas, stop)
+        assert curve == baseline
+        if replicas == 1:
+            assert baseline == val_curve(sf5, sf5_tables, uniform, loads, None, 1, stop)
+        return curve
+
+    @FAN_OUTS
+    def test_tail_marked_not_simulated(
+        self, sf5, sf5_tables, uniform, workers, replicas, stop
+    ):
         """VAL saturates near 0.5; later loads must come back marked
-        (latency None) exactly as the serial sweep reports them."""
+        (latency None) exactly as the workers=1 sweep reports them."""
         loads = [0.3, 0.55, 0.7, 0.85, 0.95]
-        serial = latency_vs_load(
-            sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-            loads=loads, config=CFG, stop_after_saturation=1,
+        curve = self.checked_curve(
+            sf5, sf5_tables, uniform, loads, workers, replicas, stop
         )
-        parallel = parallel_latency_vs_load(
-            sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-            loads=loads, config=CFG, workers=2, stop_after_saturation=1,
-        )
-        assert serial == parallel
-        marked = [pt for pt in parallel if pt.latency is None and pt.saturated]
+        marked = [pt for pt in curve if pt.latency is None and pt.saturated]
         assert marked, "expected short-circuited tail points"
 
-    def test_stop_after_two(self, sf5, sf5_tables, uniform):
+    @FAN_OUTS
+    def test_stop_after_two(self, sf5, sf5_tables, uniform, workers, replicas, stop):
         loads = [0.55, 0.7, 0.85, 0.95]
-        serial = latency_vs_load(
-            sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-            loads=loads, config=CFG, stop_after_saturation=2,
+        curve = self.checked_curve(
+            sf5, sf5_tables, uniform, loads, workers, replicas, stop
         )
-        parallel = parallel_latency_vs_load(
-            sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-            loads=loads, config=CFG, workers=4, stop_after_saturation=2,
+        # Every point saturates: exactly ``stop`` are simulated.
+        assert [pt.latency is None for pt in curve] == [False] * stop + [True] * (
+            len(loads) - stop
         )
-        assert serial == parallel
 
-    def test_fill_rows_carry_last_accepted(self, sf5, sf5_tables, uniform):
+    @FAN_OUTS
+    def test_fill_rows_carry_last_accepted(
+        self, sf5, sf5_tables, uniform, workers, replicas, stop
+    ):
         """Short-circuited rows report the last measured accepted
         throughput (the plateau) instead of a hole: fig6/fig8 tables
         render a complete accepted column past the cutoff."""
         loads = [0.3, 0.55, 0.7, 0.85, 0.95]
-        for sweep in (
-            latency_vs_load(
+        curve = self.checked_curve(
+            sf5, sf5_tables, uniform, loads, workers, replicas, stop
+        )
+        # The point that completes ``stop`` consecutive saturated points
+        # is the last one simulated; every later row is a fill.
+        run = 0
+        for last, pt in enumerate(curve):
+            run = run + 1 if pt.saturated else 0
+            if run == stop:
+                break
+        fills = curve[last + 1 :]
+        assert fills, "expected short-circuited tail points"
+        assert curve[last].accepted is not None
+        for pt in fills:
+            assert pt.saturated and pt.latency is None
+            assert pt.accepted == curve[last].accepted
+
+
+class TestSimulationCount:
+    """The walk counts what it schedules, whichever entry point runs it."""
+
+    def test_latency_vs_load_counts_its_simulations(self, sf5, sf5_tables, uniform):
+        before = simulations_started()
+        latency_vs_load(
+            sf5, lambda: MinimalRouting(sf5_tables), uniform,
+            loads=[0.2, 0.5], config=CFG,
+        )
+        assert simulations_started() - before == 2
+
+    def test_flow_ignores_workers_and_replicas(self, sf5, sf5_tables, uniform):
+        """flow is a pure function of its inputs: one in-process solve
+        per load up to the cutoff, at any workers and replicas."""
+        runs = []
+        for workers, replicas in ((1, 1), (4, 3)):
+            before = simulations_started()
+            rows = parallel_latency_vs_load(
                 sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-                loads=loads, config=CFG, stop_after_saturation=1,
-            ),
-            parallel_latency_vs_load(
-                sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
-                loads=loads, config=CFG, workers=2, stop_after_saturation=1,
-            ),
-        ):
-            # stop_after_saturation=1: the first saturated point is the
-            # last one simulated; every later row is a fill.
-            first_sat = next(i for i, pt in enumerate(sweep) if pt.saturated)
-            fills = sweep[first_sat + 1 :]
-            assert fills, "expected short-circuited tail points"
-            assert sweep[first_sat].accepted is not None
-            for pt in fills:
-                assert pt.saturated and pt.latency is None
-                assert pt.accepted == sweep[first_sat].accepted
+                loads=[0.2, 0.5, 0.8, 0.95, 1.0], config=CFG,
+                workers=workers, replicas=replicas, backend="flow",
+            )
+            runs.append((rows, simulations_started() - before))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 3
+
+    def test_without_fork_waves_hold_one_point(
+        self, sf5, sf5_tables, uniform, monkeypatch
+    ):
+        """A platform without ``fork`` runs the serial walk: no wave
+        overshoots the cutoff, whatever ``workers`` says."""
+        loads = [0.3, 0.55, 0.7, 0.85, 0.95]
+        monkeypatch.setattr("repro.sim.parallel._fork_context", lambda: None)
+        before = simulations_started()
+        curve = parallel_latency_vs_load(
+            sf5, lambda: ValiantRouting(sf5_tables, seed=1), uniform,
+            loads=loads, config=CFG, workers=4,
+        )
+        assert simulations_started() - before == 2  # 0.3, then 0.55 saturates
+        assert curve == val_curve(sf5, sf5_tables, uniform, loads, 1)
 
 
 class TestReplicas:
