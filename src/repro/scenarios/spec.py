@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.routing.registry import FAULT_AWARE, ROUTING_BUILDERS, SEEDED
 from repro.sim.backends import ENGINE_BACKENDS
@@ -304,9 +304,36 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     return asdict(config)
 
 
+#: SimConfig fields that must be at least 1; the other delays, cycle
+#: counts and the seed must be at least 0.
+_SIM_AT_LEAST_ONE = frozenset(
+    {"packet_length", "measure_cycles", "speedup", "num_vcs", "buffer_per_port"}
+)
+
+
 def sim_config_from_dict(data: dict) -> SimConfig:
     """Rebuild a SimConfig from its ``sim_config_to_dict`` form."""
+    if not isinstance(data, dict):
+        raise ValueError(f"sim must be a mapping of SimConfig fields, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise ValueError(f"unknown sim field(s) {unknown}")
     return SimConfig(**data)
+
+
+def _check_sim(config: SimConfig) -> None:
+    """Every SimConfig field an integer in its range.
+
+    A null seed draws fresh entropy per run (rows stop reproducing);
+    a zero packet length or a negative window publishes rows no
+    engine simulated."""
+    for f in fields(SimConfig):
+        value = getattr(config, f.name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"sim.{f.name} must be an integer, got {value!r}")
+        low = 1 if f.name in _SIM_AT_LEAST_ONE else 0
+        if value < low:
+            raise ValueError(f"sim.{f.name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -421,6 +448,7 @@ class Scenario:
             raise ValueError(
                 f"loads must be finite, > 0 and strictly ascending, got {self.loads}"
             )
+        _check_sim(self.sim)
 
     def revalidate(self) -> None:
         """Re-run every spec's invariant checks and normalisations.

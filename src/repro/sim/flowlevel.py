@@ -42,11 +42,19 @@ The model, per (topology, routing, traffic) triple:
    is exact per flow; the spreading models (VAL/UGAL/ANCA) put every
    flow on essentially every bottleneck, for which water-filling
    degenerates to the uniform throttle ``min(1, capacity/peak)``.
+   Everything load-independent is computed once: path sets and unit
+   loads per model, and the Valiant legs' ECMP loads once per (routing
+   tables, demand matrix), shared by the VAL and UGAL models of one
+   topology and pattern.
 4. **Latency.**  Zero-load latency is ``hop_latency x hops +
    packet_length`` (the cycle engine's unloaded pipeline), plus an
    M/M/1-style queueing term per traversed channel,
    ``rho/(1 - rho)`` packet-service times.  Saturated points report
    no latency (open-loop queues diverge), matching the cycle rows.
+   The p99 needs the flows in stable latency order; a model keeps the
+   last order it sorted and reuses it while one linear check confirms
+   it is still the stable sort (the spreading models' latencies rise
+   with fixed per-flow hop counts, so their order holds across loads).
 
 Determinism contract (weaker than the cycle engine's bit-exactness,
 stronger than "roughly reproducible"): results are a pure
@@ -59,6 +67,9 @@ on small instances.
 """
 
 from __future__ import annotations
+
+import hashlib
+import weakref
 
 import numpy as np
 
@@ -89,6 +100,13 @@ MAX_FILL_ROUNDS = 500
 #: UGAL blend grid: candidate fractions of traffic diverted to the
 #: Valiant path set (fixed grid => deterministic blend choice).
 UGAL_BLEND_GRID = 101
+
+#: Valiant unit loads per routing tables, keyed by the sha256 of the
+#: demand matrix's bytes.  They depend on nothing else, so the VAL and
+#: UGAL models of one topology and pattern route the two legs once;
+#: entries die with their tables (the resolver's bounded cache evicts
+#: them).  Each entry is read-only.
+_VAL_LOADS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 # -- demand aggregation -------------------------------------------------------
@@ -209,7 +227,10 @@ def waterfill(
     channel).  All active rates rise together until a channel
     saturates — freezing every flow crossing it — or a flow reaches
     its demand; repeat until nothing can grow.  Deterministic: pure
-    array arithmetic in fixed order, no tie-breaking randomness.
+    array arithmetic in fixed order, no tie-breaking randomness.  A
+    saturated channel freezes its flows through a boolean mask over
+    the incidence list; a flow crossing several saturated channels is
+    cleared once per crossing, to the same effect.
     """
     rate = np.zeros(len(demands))
     active = demands > 0
@@ -233,8 +254,7 @@ def waterfill(
         # to the post-increment state within the same round.
         saturated = used & (headroom - t * cnt <= 1e-12)
         if saturated.any():
-            blocked = np.unique(ent_flow[act_entries & saturated[ent_chan]])
-            active[blocked] = False
+            active[ent_flow[act_entries & saturated[ent_chan]]] = False
         active &= demands - rate > 1e-12
     return rate
 
@@ -270,9 +290,15 @@ class FlowModel:
         )
         self.cmap = _ChannelMap(topology)
         self.n = topology.num_routers
+        if self.kind in ("val", "ugal") and self.n < 3:
+            # No intermediate outside {s, d} exists: VAL and UGAL route
+            # minimally, as their cycle planners do.
+            self.kind = "min"
         self.D, self.intra, self.n_active = router_demands(traffic, topology)
         #: Total inter-router demand at unit offered load.
         self.total_demand = float(self.D.sum())
+        #: Stable latency order of the flows at the last solved point.
+        self._order: np.ndarray | None = None
 
         if self.kind == "min":
             self._build_min_flows()
@@ -385,31 +411,42 @@ class FlowModel:
         vectorised per destination over the flat edge list: at each
         distance level, a router's through-traffic divides equally
         among its neighbours one hop closer to the destination.
+
+        ``D`` may stack several demand matrices on leading axes (the
+        Valiant legs); the result has shape ``D.shape[:-2] +
+        (num_channels,)``.  Each destination's level edges and next-hop
+        counts are found once for all of them, and each matrix's loads
+        accumulate in the same destination and level order as a call
+        of its own, so every sum is the same.
         """
         n = self.n
         dist = self.tables.dist
         flat_src, flat_dst = self.cmap.flat_src, self.cmap.flat_dst
-        loads = np.zeros(self.cmap.num_channels)
+        Ds = D.reshape(-1, n, n)
+        loads = np.zeros((len(Ds), self.cmap.num_channels))
         for d in range(n):
-            x = D[:, d]
-            if not x.any():
-                continue
             dcol = dist[:, d]
+            # Deepest level holding demand, per matrix (0: none to route).
+            tops = [int(dcol[M[:, d] > 0].max(initial=0)) for M in Ds]
+            if not any(tops):
+                continue
             src_level = dcol[flat_src]
-            dst_level = dcol[flat_dst]
-            x = x.astype(np.float64, copy=True)
-            for k in range(int(dcol[x > 0].max()), 0, -1):
-                edges = np.nonzero((src_level == k) & (dst_level == k - 1))[0]
+            down = np.nonzero(src_level - dcol[flat_dst] == 1)[0]
+            down_level = src_level[down]
+            xs = [M[:, d].astype(np.float64) for M in Ds]
+            for k in range(max(tops), 0, -1):
+                edges = down[down_level == k]
                 if not edges.size:
                     continue
-                srcs = flat_src[edges]
-                cnt = np.bincount(srcs, minlength=n)
-                contrib = (x / np.maximum(cnt, 1))[srcs]
-                loads[edges] += contrib
-                x = x + np.bincount(
-                    flat_dst[edges], weights=contrib, minlength=n
-                )
-        return loads
+                srcs, dsts = flat_src[edges], flat_dst[edges]
+                share = np.maximum(np.bincount(srcs, minlength=n), 1)
+                for i, x in enumerate(xs):
+                    if k > tops[i]:
+                        continue
+                    contrib = (x / share)[srcs]
+                    loads[i, edges] += contrib
+                    xs[i] = x + np.bincount(dsts, weights=contrib, minlength=n)
+        return loads.reshape(D.shape[:-2] + (self.cmap.num_channels,))
 
     # -- Dragonfly canonical (gateway) path set ----------------------------
 
@@ -519,21 +556,32 @@ class FlowModel:
         return self._df_canonical_loads(D1) + self._df_canonical_loads(D2)
 
     def _val_unit_loads(self) -> np.ndarray:
-        """Unit channel loads of the Valiant path set.
+        """Unit channel loads of the Valiant path set (read-only).
 
         Phase demands: leg 1 carries ``D1[s, w] = (sum_d D[s, d] -
         D[s, w]) / (n - 2)`` (every flow from ``s`` spread over its
         admissible intermediates), leg 2 symmetrically into each
         destination; both legs route as ECMP fluid (the expectation of
-        per-hop uniform path sampling).
+        per-hop uniform path sampling), in one pass.  Memoized in
+        :data:`_VAL_LOADS` where the topology numbers its channels
+        over the tables' own adjacency.
         """
         D, n = self.D, self.n
-        denominator = max(1, n - 2)
-        D1 = (D.sum(axis=1)[:, None] - D) / denominator
-        np.fill_diagonal(D1, 0.0)
-        D2 = (D.sum(axis=0)[None, :] - D) / denominator
-        np.fill_diagonal(D2, 0.0)
-        return self._ecmp_loads(D1) + self._ecmp_loads(D2)
+        shared = self.tables.adjacency == self.topology.adjacency
+        memo = _VAL_LOADS.setdefault(self.tables, {}) if shared else {}
+        key = hashlib.sha256(D.tobytes()).hexdigest()
+        if key not in memo:
+            legs = np.empty((2, n, n))
+            np.subtract(D.sum(axis=1)[:, None], D, out=legs[0])
+            np.subtract(D.sum(axis=0)[None, :], D, out=legs[1])
+            legs /= n - 2
+            for leg in legs:
+                np.fill_diagonal(leg, 0.0)
+            leg1, leg2 = self._ecmp_loads(legs)
+            loads = leg1 + leg2
+            loads.flags.writeable = False
+            memo[key] = loads
+        return memo[key]
 
     # -- per-load solution -------------------------------------------------
 
@@ -599,7 +647,6 @@ class FlowModel:
                 minlength=self.cmap.num_channels,
             )
             hops = self.flow_hops
-            weights = rates
             per_flow_wait = np.zeros(n_flows)
             util = np.minimum(channel_loads / CAPACITY, UTIL_CLIP)
             wait = util / (1.0 - util)
@@ -623,7 +670,6 @@ class FlowModel:
             rates = load * throttle * self.flow_demand
             accepted_total = float(rates.sum())
             channel_loads = load * throttle * unit_loads
-            weights = rates
             util = np.minimum(channel_loads / CAPACITY, UTIL_CLIP)
             load_mass = float(channel_loads.sum())
             mean_wait = (
@@ -640,15 +686,16 @@ class FlowModel:
         pl = config.packet_length
         base = config.hop_latency * hops + pl
         latency = base + pl * per_flow_wait
-        total_weight = float(weights.sum())
-        if saturated or total_weight <= 0:
+        # Flow rates weight the latency statistics; their total is the
+        # accepted fabric rate.
+        if saturated or accepted_total <= 0:
             avg_latency = p99 = float("nan")
             queue_latency = float("nan")
         else:
-            avg_latency = float((weights * latency).sum()) / total_weight
-            p99 = _weighted_percentile(latency, weights, 99.0)
+            avg_latency = float((rates * latency).sum()) / accepted_total
+            p99 = self._p99(latency, rates)
             queue_latency = (
-                pl * float((weights * per_flow_wait).sum()) / total_weight
+                pl * float((rates * per_flow_wait).sum()) / accepted_total
             )
 
         n_active = max(1, self.n_active)
@@ -658,7 +705,7 @@ class FlowModel:
             tele_result = TelemetryResult(
                 cycles=0,
                 channel_load=(
-                    tuple(float(x) for x in channel_loads.tolist())
+                    tuple(channel_loads.tolist())
                     if telemetry.channel_flits
                     else None
                 ),
@@ -679,6 +726,12 @@ class FlowModel:
             telemetry=tele_result,
         )
 
+    def _p99(self, latency: np.ndarray, rates: np.ndarray) -> float:
+        """Rate-weighted p99 latency, sorting only when the order moved."""
+        if self._order is None or not _is_stable_order(latency, self._order):
+            self._order = np.argsort(latency, kind="stable")
+        return _weighted_percentile(latency, rates, 99.0, self._order)
+
     def saturation_load(
         self, loads, config: SimConfig | None = None
     ) -> float | None:
@@ -689,9 +742,21 @@ class FlowModel:
         return None
 
 
-def _weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    """Weighted percentile (lowest value covering q% of the mass)."""
-    order = np.argsort(values, kind="stable")
+def _is_stable_order(values: np.ndarray, order: np.ndarray) -> bool:
+    """Whether the permutation ``order`` is ``np.argsort(values,
+    kind="stable")``: values non-decreasing along it, equal values in
+    ascending index.  One linear pass; NaN never passes."""
+    ranked = values[order]
+    lo, hi = ranked[:-1], ranked[1:]
+    return bool(np.all((lo < hi) | ((lo == hi) & (order[:-1] < order[1:]))))
+
+
+def _weighted_percentile(
+    values: np.ndarray, weights: np.ndarray, q: float, order: np.ndarray
+) -> float:
+    """Weighted percentile (lowest value covering q% of the mass).
+
+    ``order`` is the stable ascending order of ``values``."""
     cum = np.cumsum(weights[order])
     total = cum[-1]
     if total <= 0:

@@ -217,6 +217,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="strictly ascending"):
             Campaign.from_grid("bad", open_scenario(), {"loads": [[0.2, 0.2]]})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # Accepted, each would draw fresh entropy per run, divide by
+            # zero, publish an unsimulated row or crash an engine.
+            ("seed", None),
+            ("seed", -1),
+            ("packet_length", 0),
+            ("measure_cycles", -5),
+            ("warmup_cycles", "x"),
+            ("drain_cycles", 1.5),
+            ("num_vcs", True),
+            ("speedup", 0),
+            ("buffer_per_port", 0),
+            ("credit_delay", -1),
+        ],
+    )
+    def test_sim_block_rejected(self, field, value):
+        data = open_scenario().to_dict()
+        data["sim"][field] = value
+        with pytest.raises(ValueError, match=f"sim.{field}"):
+            Scenario.from_dict(data)
+
+    def test_sim_block_unknown_key_rejected(self):
+        data = open_scenario().to_dict()
+        data["sim"]["voltage"] = 1
+        with pytest.raises(ValueError, match="voltage"):
+            Scenario.from_dict(data)
+
+    def test_sim_checked_on_construction_and_grid_overrides(self):
+        with pytest.raises(ValueError, match="sim.seed"):
+            open_scenario(sim=SimConfig(seed=None))
+        with pytest.raises(ValueError, match="sim.packet_length"):
+            Campaign.from_grid("bad", open_scenario(), {"sim.packet_length": [0]})
+        # Zero delays and windows stay legal, and a valid spec's hash
+        # does not move.
+        zero = open_scenario(sim=SimConfig(warmup_cycles=0, drain_cycles=0,
+                                           credit_delay=0, seed=0))
+        assert Scenario.from_dict(zero.to_dict()).hash() == zero.hash()
+
     def test_engine_foreign_axes_rejected(self):
         with pytest.raises(ValueError, match="open-loop axis"):
             closed_scenario(replicas=3)
