@@ -118,6 +118,38 @@ def _row_error(row) -> str | None:
     return None
 
 
+def _ingest(
+    table, path: Path, row_error: Callable, campaign: str | None, strict=False
+) -> None:
+    """Append one JSONL file's valid rows to ``table`` (see module doc).
+
+    The one tolerant line loop of both tables: a line that is not UTF-8
+    or not JSON, nesting past the decoder's limit included, counts as
+    torn; a row ``row_error`` faults is quarantined in ``invalid``.
+    ``strict=True`` raises :class:`ValueError` on the first of either.
+    """
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            row = json.loads(raw.decode("utf-8"))
+        except (ValueError, RecursionError):
+            if strict:
+                raise ValueError(
+                    f"{path}:{lineno}: not valid UTF-8 JSON (torn line?)"
+                ) from None
+            table.torn_lines += 1
+            continue
+        error = row_error(row)
+        if error is not None:
+            if strict:
+                raise ValueError(f"{path}:{lineno}: {error}")
+            table.invalid.append((lineno, error))
+            continue
+        if campaign is None or row["campaign"] == campaign:
+            table.rows.append(row)
+
+
 @dataclass
 class Curve:
     """One open-loop latency-vs-load sweep, in ascending row order.
@@ -172,26 +204,7 @@ class RowTable:
         """
         path = Path(path)
         table = cls(source=str(path))
-        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw.decode("utf-8"))
-            except ValueError:  # torn JSON, or not UTF-8 (UnicodeDecodeError)
-                if strict:
-                    raise ValueError(
-                        f"{path}:{lineno}: not valid UTF-8 JSON (torn line?)"
-                    ) from None
-                table.torn_lines += 1
-                continue
-            error = _row_error(row)
-            if error is not None:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {error}")
-                table.invalid.append((lineno, error))
-                continue
-            if campaign is None or row["campaign"] == campaign:
-                table.rows.append(row)
+        _ingest(table, path, _row_error, campaign, strict)
         meta_path = path.with_name(path.name + ".meta.json")
         if meta_path.exists():
             try:
@@ -395,22 +408,8 @@ class MetricsTable:
         """Load one metrics sidecar (missing file -> empty table)."""
         path = Path(path)
         table = cls(source=str(path))
-        if not path.exists():
-            return table
-        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-            if not raw.strip():
-                continue
-            try:
-                row = json.loads(raw.decode("utf-8"))
-            except ValueError:  # torn JSON, or not UTF-8 (UnicodeDecodeError)
-                table.torn_lines += 1
-                continue
-            error = _metrics_row_error(row)
-            if error is not None:
-                table.invalid.append((lineno, error))
-                continue
-            if campaign is None or row["campaign"] == campaign:
-                table.rows.append(row)
+        if path.exists():
+            _ingest(table, path, _metrics_row_error, campaign)
         return table
 
     def __len__(self) -> int:

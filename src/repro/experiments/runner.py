@@ -339,7 +339,11 @@ def _run_campaign_cli(args) -> int:
     if not path.exists():
         print(f"no such campaign file: {path}", file=sys.stderr)
         return 2
-    campaign = Campaign.load(path)
+    try:
+        campaign = Campaign.load(path)
+    except ValueError as exc:  # JSON syntax errors included
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
     out = args.out or str(path.with_suffix("")) + ".results.jsonl"
     service = None
     if args.service is not None:

@@ -132,9 +132,19 @@ class Campaign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Campaign":
+        """Rebuild a campaign; :class:`ValueError` for a malformed document."""
+        if not isinstance(data, dict):
+            raise ValueError("a campaign must be a JSON object")
+        if not isinstance(data.get("name"), str):
+            raise ValueError("campaign 'name' must be a string")
+        scenarios = data.get("scenarios")
+        if not isinstance(scenarios, list) or not all(
+            isinstance(d, dict) for d in scenarios
+        ):
+            raise ValueError("campaign 'scenarios' must be a list of JSON objects")
         return cls(
             name=data["name"],
-            scenarios=[Scenario.from_dict(d) for d in data["scenarios"]],
+            scenarios=[Scenario.from_dict(d) for d in scenarios],
         )
 
     def save(self, path) -> Path:

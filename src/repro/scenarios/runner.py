@@ -12,11 +12,14 @@ one :func:`~repro.sim.parallel.parallel_workload_completion` call.
 
 Every row carries its scenario hash and its ``row``/``rows`` position,
 so the output is self-describing and resumable: with ``resume=True``
-any scenario whose full row set already exists in the output file is
-reused verbatim (zero simulations) and only the missing ones run.
-Because rows are written in campaign order and cached lines are
-replayed byte-for-byte, an interrupted campaign resumed to completion
-produces a final file identical to an uninterrupted run.
+the output files are read back as one more result store, a read-only
+view whose entries pass the store's own validation, so any scenario
+whose full row set already exists in the output file is reused
+verbatim (zero simulations) and only the missing ones run.  Every
+scenario, simulated or not, is emitted from a store entry by splicing
+the campaign name into its rows' payload texts, so an interrupted
+campaign resumed to completion produces a final file identical to an
+uninterrupted run.
 
 Resume generalizes beyond one file through two opt-in transports
 (DESIGN.md, Layer 7):
@@ -56,7 +59,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from repro.scenarios.campaign import Campaign
 from repro.scenarios.resolve import resolve
@@ -65,6 +68,7 @@ from repro.scenarios.spec import (
     canonical_json,
     scenario_hash,
     splice_campaign,
+    unsplice_campaign,
 )
 from repro.sim.parallel import parallel_latency_vs_load, simulations_started
 from repro.sim.stats import LoadPoint, WorkloadResult
@@ -223,64 +227,6 @@ def _metrics_payload(
     return rows
 
 
-def _load_metrics_cache(
-    path: Path, campaign_name: str, armed: Sequence[str]
-) -> tuple[dict[str, list[_Line]], set[str]]:
-    """Metrics-sidecar lines (raw and parsed) grouped by scenario hash,
-    plus the hashes a torn line may have belonged to.
-
-    Unlike the main cache there is no per-scenario completeness check
-    (a telemetry row count is not knowable up front — short-circuited
-    points write nothing), so callers must only replay hashes whose
-    *main* rows were complete: main-row completeness implies the
-    scenario finished, and the runner writes a scenario's metrics lines
-    (flushed) before its result rows.
-
-    A line that fails to decode as UTF-8 or to parse costs its scenario
-    a telemetry row, and its hash is unreadable.  Sidecar groups are
-    written in campaign order, so it belongs to a telemetry-armed
-    scenario (``armed``, campaign order) between the scenarios of the
-    nearest attributable lines before and after it, inclusive; all of
-    those are returned for re-simulation.  An unterminated last line is
-    a kill mid-write: its scenario's result rows were never written, so
-    it re-simulates anyway and costs no neighbour.
-    """
-    position = {h: i for i, h in enumerate(armed)}
-    data = path.read_bytes()
-    raws = data.splitlines()
-    if raws and not data.endswith(b"\n"):
-        raws.pop()
-    by_hash: dict[str, list[_Line]] = {}
-    torn: set[str] = set()
-    #: Position of the last attributable line (0 before the first one),
-    #: and whether a torn line came after it.
-    last = 0
-    gap = False
-    for raw in raws:
-        try:
-            line = raw.decode("utf-8")
-            row = json.loads(line)
-            h, name = row["scenario"], row["campaign"]
-        except (ValueError, KeyError, TypeError):
-            h = None
-        if not isinstance(h, str):
-            gap = True
-            continue
-        if name != campaign_name:
-            continue
-        by_hash.setdefault(h, []).append((line, row))
-        here = position.get(h)
-        if here is None:
-            continue
-        if gap:
-            torn.update(armed[min(last, here) : max(last, here) + 1])
-            gap = False
-        last = here
-    if gap:
-        torn.update(armed[last:])
-    return by_hash, torn
-
-
 class _LazyStream:
     """A text stream that creates its file on first write only.
 
@@ -308,38 +254,108 @@ class _LazyStream:
             self._fh = None
 
 
-def _load_cache(
-    path: Path, campaign_name: str, scenarios: Sequence[Scenario]
-) -> dict[str, list[_Line]]:
-    """JSONL lines (raw and parsed) of *complete* scenarios, keyed by hash.
+def _scan(path: Path, campaign: str) -> Iterator[tuple[str, str, dict] | None]:
+    """``(hash, payload text, payload row)`` per line of ``campaign``;
+    ``None`` per torn line.
 
-    A scenario is complete when every ``row`` index 0..rows-1 is
-    present.  Lines that fail to decode as UTF-8 or to parse (a kill
-    mid-write leaves a truncated tail), belong to no campaign scenario,
-    or carry another campaign's name (cached lines replay verbatim, so
-    a stale name would survive into the resumed file) are ignored; the
-    file is split into lines as bytes, so a bad byte costs one line.
+    The file is split as bytes and each line decoded on its own, so a
+    bad byte costs one line; an unterminated last line is a kill
+    mid-write and is dropped.  A line is torn when it is not UTF-8, not
+    a JSON object (nesting past the decoder's limit included), has no
+    string ``scenario``, or does not carry its campaign name where
+    :func:`splice_campaign` puts it.  Other campaigns' lines are
+    skipped: replayed, they would carry a stale name.
     """
-    expected = {scenario_hash(s): s.num_rows for s in scenarios}
-    by_hash: dict[str, dict[int, _Line]] = {}
-    for raw in path.read_bytes().splitlines():
+    try:
+        raws = path.read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return
+    for raw in raws:
         try:
             line = raw.decode("utf-8")
             row = json.loads(line)
-            h, i, n = row["scenario"], row["row"], row["rows"]
-            name = row["campaign"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, RecursionError):
+            row = None
+        if not (
+            isinstance(row, dict)
+            and isinstance(row.get("scenario"), str)
+            and "campaign" in row
+        ):
+            yield None
+        elif row.pop("campaign") == campaign:
+            try:
+                text = unsplice_campaign(line, row, campaign)
+            except (ValueError, RecursionError):
+                yield None
+            else:
+                yield row["scenario"], text, row
+
+
+def _read_generation(
+    rows_path: Path, metrics_path: Path, campaign: Campaign, hashes: Sequence[str]
+) -> dict:
+    """One generation of the campaign's output files as a read-only store.
+
+    A generation is a rows file and its telemetry sidecar: ``<out>``
+    with ``<out>.metrics.jsonl``, or the ``.tmp`` pair an interrupted
+    resume left.  The result maps a scenario hash to a
+    :class:`~repro.service.store.StoreEntry` that passed ``validate()``
+    and holds the scenario's full row set, so its ``get`` keeps the
+    :class:`~repro.service.store.ResultStore` contract.
+
+    Telemetry rows have no count to check (short-circuited points write
+    none), but the runner writes a scenario's sidecar lines before its
+    result rows, so complete result rows imply complete telemetry —
+    unless a sidecar line is torn.  A torn line's hash is unreadable;
+    sidecar groups are written in campaign order, so it belongs to a
+    telemetry-armed scenario between the scenarios of the nearest
+    readable lines before and after it, inclusive, and none of those is
+    served from this generation.
+    """
+    from repro.service.store import StoreEntry, StoreIntegrityError
+
+    num_rows = {h: s.num_rows for h, s in zip(hashes, campaign.scenarios)}
+    armed = [h for h, s in zip(hashes, campaign.scenarios) if s.telemetry is not None]
+    entries: dict[str, StoreEntry] = {}
+    for item in _scan(rows_path, campaign.name):
+        if item is not None and item[0] in num_rows:
+            h, text, row = item
+            if h not in entries:
+                entries[h] = StoreEntry(h, [], [], [], [])
+            entries[h].rows.append(row)
+            entries[h].row_texts.append(text)
+    position = {h: i for i, h in enumerate(armed)}
+    #: Position of the last readable line (0 before the first one), and
+    #: whether a torn line came after it.
+    last, gap = 0, False
+    torn: set[str] = set()
+    for item in _scan(metrics_path, campaign.name):
+        if item is None:
+            gap = True
             continue
-        if name != campaign_name:
+        h, text, row = item
+        if h in entries:
+            entries[h].metrics.append(row)
+            entries[h].metric_texts.append(text)
+        here = position.get(h)
+        if here is None:
             continue
-        if expected.get(h) != n or not isinstance(i, int) or not 0 <= i < n:
+        if gap:
+            torn.update(armed[min(last, here) : max(last, here) + 1])
+            gap = False
+        last = here
+    if gap:
+        torn.update(armed[last:])
+    valid = {}
+    for h, entry in entries.items():
+        if h in torn or len(entry.rows) != num_rows[h]:
             continue
-        by_hash.setdefault(h, {})[i] = (line, row)
-    return {
-        h: [rows[i] for i in range(expected[h])]
-        for h, rows in by_hash.items()
-        if len(rows) == expected[h]
-    }
+        try:
+            entry.validate()
+        except StoreIntegrityError:
+            continue
+        valid[h] = entry
+    return valid
 
 
 @dataclass
@@ -351,7 +367,7 @@ class CampaignReport:
     #: Scenarios actually simulated this run.
     simulated: int = 0
     #: Scenarios whose rows were reused without simulating (resume
-    #: cache or store; store reuses are also counted in store_hits).
+    #: files or store; store reuses are also counted in store_hits).
     skipped: int = 0
     #: Scenarios served from the content-addressed result store.
     store_hits: int = 0
@@ -404,7 +420,7 @@ def _sims_per_s(sims: int, wall: float) -> float | None:
 
 def _write_meta(
     out_path: Path, campaign: Campaign, workers: int, simulated: int,
-    heartbeat: dict | None = None, origins: dict[str, str] | None = None,
+    heartbeat: dict | None = None, sources: dict[str, str] | None = None,
 ) -> None:
     """Provenance sidecar for an output file (see module docstring).
 
@@ -413,38 +429,38 @@ def _write_meta(
     worker count and heartbeat — the rows in the file are still the
     old run's — instead of stamping numbers from a run that never
     simulated anything (which also keeps the sidecar byte-stable
-    across no-op resumes).  ``origins`` follows the same rule per
-    scenario: ``"simulated"`` and ``"cache"`` (store hit) describe how
-    this run obtained the rows, while file-resumed scenarios keep the
-    origin recorded by the run that actually produced them.
+    across no-op resumes).  ``sources`` (hash -> ``"resume"`` or
+    ``"store"``, for the scenarios this run did not simulate) sets each
+    scenario's origin by the same rule: store hits are ``"cache"``,
+    simulated scenarios ``"simulated"``, and file-resumed scenarios
+    keep the origin recorded by the run that actually produced them.
     """
     from repro import __version__
 
     meta_path = out_path.with_name(out_path.name + ".meta.json")
-    previous: dict | None = None
-    if meta_path.exists():
-        try:
-            parsed = json.loads(meta_path.read_text(encoding="utf-8"))
-            # A corrupt/foreign sidecar (non-dict JSON included) is
-            # simply rewritten rather than trusted.
-            if isinstance(parsed, dict) and parsed.get("campaign") == campaign.name:
-                previous = parsed
-        except ValueError:
-            pass
+    try:
+        previous = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        previous = None
+    index = previous.get("scenarios") if isinstance(previous, dict) else None
+    # A missing, corrupt or foreign sidecar, or one whose scenario index
+    # has any other shape, is rewritten rather than trusted.
+    if not (
+        isinstance(index, list)
+        and previous.get("campaign") == campaign.name
+        and all(isinstance(e, dict) and isinstance(e.get("scenario"), str) for e in index)
+    ):
+        previous, index = None, []
+    previous_origins = {e["scenario"]: e.get("origin", "simulated") for e in index}
     if simulated == 0 and previous is not None:
         workers = previous.get("workers", workers)
         heartbeat = previous.get("heartbeat", heartbeat)
-    previous_origins = {
-        e.get("scenario"): e.get("origin", "simulated")
-        for e in (previous.get("scenarios", []) if previous else [])
-        if isinstance(e, dict)
-    }
 
     def _origin(h: str) -> str:
-        o = (origins or {}).get(h, "simulated")
-        if o == "resume":
+        source = (sources or {}).get(h)
+        if source == "resume":
             return previous_origins.get(h, "simulated")
-        return o
+        return "cache" if source == "store" else "simulated"
 
     meta = {
         "format": 1,
@@ -570,7 +586,7 @@ def run_campaign(
     running them in-process — same rows, any host count.
 
     A campaign whose every scenario is already covered by the resume
-    file and/or the store is recognised *before* any spec resolution,
+    files and/or the store is replayed *before* any spec resolution,
     service socket, or worker pool is touched: a no-op resume costs
     O(scenario hashes) plus the file replay, nothing else.
 
@@ -583,97 +599,62 @@ def run_campaign(
     canonical-JSON lines; the same events land on
     :attr:`CampaignReport.events` either way.
     """
+    from repro.service.store import StoreEntry, open_store
+
     campaign = campaign.dedup()
     scenarios = campaign.scenarios
     if resume and out is None:
         raise ValueError("resume=True needs an output file to resume from")
     out_path = Path(out) if out is not None else None
-    if store is not None:
-        from repro.service.store import open_store
-
-        store = open_store(store)
-
-    cache: dict[str, list[_Line]] = {}
-    metrics_cache: dict[str, list[_Line]] = {}
-    tmp_path = (
-        out_path.with_name(out_path.name + ".tmp") if out_path is not None else None
-    )
-    metrics_out = metrics_path_for(out_path) if out_path is not None else None
-    metrics_tmp = (
-        metrics_out.with_name(metrics_out.name + ".tmp")
-        if metrics_out is not None
-        else None
-    )
     hashes = [scenario_hash(s) for s in scenarios]
-    if resume and out_path is not None:
-        if out_path.exists():
-            cache = _load_cache(out_path, campaign.name, scenarios)
-        # A resumed run that was itself interrupted left its progress
-        # in the temp file; harvest that too so no simulation is ever
-        # repeated across any number of interruptions.
-        if tmp_path.exists():
-            for h, lines in _load_cache(tmp_path, campaign.name, scenarios).items():
-                cache.setdefault(h, lines)
-        # Telemetry sidecar lines follow their main rows: only hashes
-        # in the (complete-scenario) main cache are ever replayed, and
-        # none that a torn sidecar line may have belonged to.
-        armed = [h for h, s in zip(hashes, scenarios) if s.telemetry is not None]
-        torn: set[str] = set()
-        for path in (metrics_out, metrics_tmp):
-            if path.exists():
-                lines_by_hash, torn_here = _load_metrics_cache(
-                    path, campaign.name, armed
-                )
-                torn |= torn_here
-                for h, lines in lines_by_hash.items():
-                    metrics_cache.setdefault(h, lines)
-        for h in torn:
-            cache.pop(h, None)
-            metrics_cache.pop(h, None)
+    #: The output files, then the temp pair a resume writes through.
+    generations: list[tuple[Path, Path]] = []
+    if out_path is not None:
+        metrics_out = metrics_path_for(out_path)
+        generations = [
+            (out_path, metrics_out),
+            tuple(p.with_name(p.name + ".tmp") for p in (out_path, metrics_out)),
+        ]
+    # One lookup for every way a scenario is served without simulating:
+    # each generation of the output files (a resumed run that was itself
+    # interrupted left its progress in the temp pair), then the store.
+    lookups = [
+        ("resume", _read_generation(rows, metrics, campaign, hashes))
+        for rows, metrics in (generations if resume else [])
+    ]
+    if store is not None:
+        store = open_store(store)
+        lookups.append(("store", store))
+    #: hash -> (source, entry) of every scenario served without
+    #: simulating; the entry is released once emitted.
+    hits: dict[str, tuple[str, StoreEntry | None]] = {}
+    for h in hashes:
+        for source, lookup in lookups:
+            entry = lookup.get(h)
+            if entry is not None:
+                hits[h] = (source, entry)
+                break
+    # From here on only ``hits`` holds the entries, each until emitted.
+    del lookups
 
     report = CampaignReport(campaign=campaign.name, out=str(out_path) if out_path else None)
-    pending = [h not in cache for h in hashes]
-    #: hash -> how this run obtained the rows ("resume" defers to the
-    #: previous meta sidecar; see _write_meta).
-    origins: dict[str, str] = {
-        h: "resume" for h, p in zip(hashes, pending) if not p
-    }
-    cache_source: dict[str, str] = {h: "resume" for h in origins}
-    if store is not None:
-        # Store probe: one get() per still-pending hash, before any
-        # resolution — a warm store turns the scenario into a replay.
-        for i, h in enumerate(hashes):
-            if not pending[i]:
-                continue
-            entry = store.get(h)
-            if entry is None:
-                continue
-            cache[h] = _stamped(entry.rows, entry.row_texts, campaign.name)
-            if entry.metrics:
-                metrics_cache[h] = _stamped(
-                    entry.metrics, entry.metric_texts, campaign.name
-                )
-            pending[i] = False
-            origins[h] = "cache"
-            cache_source[h] = "store"
-            report.store_hits += 1
-
-    # Resumed runs rewrite through a temp file so an interruption never
-    # destroys the cache the next attempt resumes from.
-    write_path = out_path
-    metrics_write_path = metrics_out
-    if out_path is not None and cache:
-        write_path = tmp_path
-        metrics_write_path = metrics_tmp
+    report.store_hits = sum(source == "store" for source, _ in hits.values())
+    pending = [h not in hits for h in hashes]
+    # A run that replays anything writes through the temp pair, so an
+    # interruption never destroys the files the next attempt resumes from.
+    write_paths = generations[1 if hits else 0] if generations else (None, None)
 
     t_campaign = time.perf_counter()
     sims_at_start = simulations_started()
 
-    stream = open(write_path, "w") if write_path is not None else None
-    metrics_stream = _LazyStream(metrics_write_path)
+    stream = open(write_paths[0], "w") if write_paths[0] is not None else None
+    metrics_stream = _LazyStream(write_paths[1])
 
-    def _emit_scenario(lines: list[_Line], metrics_lines: list[_Line]) -> None:
-        """Write one scenario's lines and add its rows to the report."""
+    def _emit(entry: StoreEntry) -> None:
+        """Write one scenario's entry, stamped with the campaign name,
+        and add its rows to the report."""
+        metrics_lines = _stamped(entry.metrics, entry.metric_texts, campaign.name)
+        lines = _stamped(entry.rows, entry.row_texts, campaign.name)
         # Metrics lines land before the result rows so a kill between
         # the two writes leaves the scenario pending (incomplete main
         # rows), never with lost telemetry.
@@ -684,14 +665,16 @@ def run_campaign(
         report.rows.extend(row for _, row in lines)
 
     def _replay_cached(i: int) -> None:
-        """Emit scenario ``i`` from the resume/store cache."""
-        _emit_scenario(cache[hashes[i]], metrics_cache.get(hashes[i], []))
+        """Emit scenario ``i`` from the entry it was served from."""
+        source, entry = hits[hashes[i]]
+        hits[hashes[i]] = (source, None)
+        _emit(entry)
         report.skipped += 1
         _heartbeat(
             report, progress, event="scenario_cached",
             campaign=campaign.name, scenario=hashes[i],
             label=scenarios[i].label, index=i, of=len(scenarios),
-            source=cache_source[hashes[i]],
+            source=source,
         )
 
     def _record_simulated(
@@ -699,75 +682,51 @@ def run_campaign(
     ) -> None:
         """Emit scenario ``k``'s freshly produced payload rows.
 
-        Each row is encoded exactly once; the JSONL line and the store
-        entry are both built from that text.
+        Each row is encoded exactly once, into the entry that both the
+        JSONL line and the store are written from.
         """
-        texts = [canonical_json(r) for r in payload]
-        metric_texts = [canonical_json(r) for r in metrics_payload]
+        entry = StoreEntry(hashes[k], payload, metrics_payload)
         report.simulated += 1
-        origins[hashes[k]] = "simulated"
-        _emit_scenario(
-            _stamped(payload, texts, campaign.name),
-            _stamped(metrics_payload, metric_texts, campaign.name),
-        )
+        _emit(entry)
         if store is not None:
-            from repro.service.store import StoreEntry
-
-            store.put(
-                StoreEntry(hashes[k], payload, metrics_payload, texts, metric_texts)
-            )
+            store.put(entry)
 
     try:
-        if not any(pending):
-            # No-op resume short-circuit: everything is in the resume
-            # file and/or the store, so replay it without resolving a
-            # single topology, opening a service socket, or forking a
-            # pool — O(hash count) + the byte replay.
-            for i in range(len(scenarios)):
-                _replay_cached(i)
-        else:
-            _run_units(
-                campaign, scenarios, pending, workers, service,
-                report, progress, _replay_cached, _record_simulated,
-            )
+        _run_units(
+            campaign, scenarios, pending, workers, service,
+            report, progress, _replay_cached, _record_simulated,
+        )
     finally:
         if stream is not None:
             stream.close()
         metrics_stream.close()
     wall = time.perf_counter() - t_campaign
     sims = simulations_started() - sims_at_start
+    rate = {
+        "wall_s": round(wall, 3), "sims": sims, "sims_per_s": _sims_per_s(sims, wall)
+    }
     _heartbeat(
         report, progress, event="campaign_finish", campaign=campaign.name,
-        workers=workers, wall_s=round(wall, 3), sims=sims,
-        sims_per_s=_sims_per_s(sims, wall),
-        simulated=report.simulated, skipped=report.skipped,
-        rows=len(report.rows),
+        workers=workers, **rate, simulated=report.simulated,
+        skipped=report.skipped, rows=len(report.rows),
     )
-    if write_path is not None and write_path != out_path:
-        os.replace(write_path, out_path)
-    if metrics_out is not None:
-        if metrics_stream.wrote and metrics_write_path != metrics_out:
-            os.replace(metrics_write_path, metrics_out)
-        elif not metrics_stream.wrote:
+    if out_path is not None:
+        rows_tmp, metrics_tmp = generations[1]
+        if not metrics_stream.wrote:
             # No telemetry row this run: a sidecar from an earlier
             # (differently-configured) run would be stale — remove it.
             metrics_out.unlink(missing_ok=True)
-        if metrics_tmp.exists() and metrics_write_path != metrics_tmp:
-            metrics_tmp.unlink()
-    if out_path is not None:
-        hb = report.heartbeat
+        if write_paths[0] == rows_tmp:
+            os.replace(rows_tmp, out_path)
+            if metrics_stream.wrote:
+                os.replace(metrics_tmp, metrics_out)
+        # The finished files cover whatever an interrupted run left.
+        rows_tmp.unlink(missing_ok=True)
+        metrics_tmp.unlink(missing_ok=True)
         _write_meta(
             out_path, campaign, workers, report.simulated,
-            heartbeat=(
-                {
-                    "wall_s": hb["wall_s"],
-                    "sims": hb["sims"],
-                    "sims_per_s": hb["sims_per_s"],
-                }
-                if hb is not None and hb["sims"]
-                else None
-            ),
-            origins=origins,
+            heartbeat=rate if sims else None,
+            sources={h: source for h, (source, _) in hits.items()},
         )
     return report
 
@@ -790,7 +749,9 @@ def _run_units(
     before it runs, and its own scenarios, with the cached ones inside
     its window, are emitted after it.  With ``service`` set the
     coordinator leases the units, runs them in whatever order workers
-    finish them, and hands them back here in campaign order.
+    finish them, and hands them back here in campaign order.  With no
+    unit pending, no coordinator, socket or pool is started and every
+    scenario replays.
     """
     next_idx = 0
 
@@ -814,7 +775,7 @@ def _run_units(
         _heartbeat(report, progress, **fields)
 
     units = partition_units(scenarios, pending)
-    if service is not None:
+    if service is not None and units:
         from repro.service.coordinator import Coordinator
 
         coordinator = Coordinator(

@@ -36,27 +36,48 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def splice_campaign(text: str, row: dict, campaign: str) -> str:
-    """``canonical_json({"campaign": campaign, **row})`` without re-encoding ``row``.
+def _campaign_field(row: dict, campaign: str) -> tuple[int, str]:
+    """Offset and text of the campaign field in a stamped row's encoding.
 
-    ``text`` must be ``canonical_json(row)`` and ``row`` must not carry
-    a ``campaign`` key.  The campaign field goes in at its sorted-key
-    position, found by encoding only the keys that sort before
-    ``"campaign"`` (in result rows: ``accepted`` and the ``avg_*``
-    latencies, all scalars), so a row with thousands of channel loads
-    costs one string copy, not a second encoding.
+    The field sits at its sorted-key position, found by encoding only
+    the keys that sort before ``"campaign"`` (in result rows:
+    ``accepted`` and the ``avg_*`` latencies, all scalars), so a row
+    with thousands of channel loads costs no second encoding.
     """
     if "campaign" in row:
         raise ValueError("row already carries a campaign name")
     before = {k: row[k] for k in row if k < "campaign"}
-    # canonical_json(before) is text's prefix up to its closing brace.
+    # canonical_json(before) is the row text's prefix up to its closing brace.
     cut = len(canonical_json(before)) - 1
     field = '"campaign":' + canonical_json(campaign)
     if before:
         field = "," + field
     elif row:
         field += ","
+    return cut, field
+
+
+def splice_campaign(text: str, row: dict, campaign: str) -> str:
+    """``canonical_json({"campaign": campaign, **row})`` without re-encoding ``row``.
+
+    ``text`` must be ``canonical_json(row)`` and ``row`` must not carry
+    a ``campaign`` key; the campaign field is one string insertion.
+    """
+    cut, field = _campaign_field(row, campaign)
     return text[:cut] + field + text[cut:]
+
+
+def unsplice_campaign(stamped: str, row: dict, campaign: str) -> str:
+    """The inverse of :func:`splice_campaign`: ``stamped`` minus its campaign field.
+
+    ``row`` is the stamped row without its ``campaign`` key.  Raises
+    :class:`ValueError` unless ``stamped`` carries ``campaign`` at its
+    canonical position, so splicing the result back gives ``stamped``.
+    """
+    cut, field = _campaign_field(row, campaign)
+    if not stamped.startswith(field, cut):
+        raise ValueError("the campaign field is not at its canonical position")
+    return stamped[:cut] + stamped[cut + len(field) :]
 
 
 @dataclass

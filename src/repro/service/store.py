@@ -185,7 +185,7 @@ class StoreEntry:
                 raise StoreIntegrityError(f"metrics row {i} carries a campaign name")
         try:
             derived = scenario_hash(Scenario.from_dict(self.rows[0]["spec"]))
-        except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        except (TypeError, ValueError, KeyError, AttributeError, RecursionError) as exc:
             raise StoreIntegrityError(f"embedded spec does not parse: {exc}") from exc
         if derived != self.scenario:
             raise StoreIntegrityError(

@@ -132,6 +132,14 @@ class TestIngestion:
         assert table.torn_lines == 1 and not table.invalid
         with pytest.raises(ValueError, match=":1: not valid UTF-8"):
             RowTable.from_jsonl(path, strict=True)
+        # A line nested past the decoder's limit is torn the same way.
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"[" * 100_000 + b"\n" + b"".join(lines[1:]))
+        table = RowTable.from_jsonl(path)
+        assert [r["row"] for r in table] == [1, 2]
+        assert table.torn_lines == 1 and not table.invalid
+        with pytest.raises(ValueError, match=":1: not valid UTF-8"):
+            RowTable.from_jsonl(path, strict=True)
 
     def test_invalid_utf8_metrics_line_counts_as_torn(self, tmp_path):
         rows = [
@@ -143,6 +151,12 @@ class TestIngestion:
         data = bytearray(path.read_bytes())
         data[data.rindex(b'"label"')] = 0xC3  # lead byte, no continuation
         path.write_bytes(bytes(data))
+        table = MetricsTable.from_jsonl(path)
+        assert [r["row"] for r in table] == [0]
+        assert table.torn_lines == 1
+        # A line nested past the decoder's limit is torn the same way.
+        first = path.read_bytes().splitlines(keepends=True)[0]
+        path.write_bytes(first + b"[" * 100_000 + b"\n")
         table = MetricsTable.from_jsonl(path)
         assert [r["row"] for r in table] == [0]
         assert table.torn_lines == 1

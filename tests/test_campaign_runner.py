@@ -14,6 +14,7 @@ from repro.scenarios import (
     TopologySpec,
     TrafficSpec,
     WorkloadSpec,
+    canonical_json,
     run_campaign,
     scenario_hash,
 )
@@ -346,6 +347,26 @@ class TestResume:
         assert events == self.holes_events(cached)
         assert events == self.HOLES_PINNED.get(cached, events)
 
+    @pytest.mark.parametrize(
+        "scenarios", [5, [{"scenario": ["x"]}]], ids=["int", "list-hash"]
+    )
+    def test_malformed_meta_sidecar_is_rewritten(self, tmp_path, scenarios):
+        out = tmp_path / "rows.jsonl"
+        campaign = mixed_campaign()
+        run_campaign(campaign, out=out)
+        meta = tmp_path / "rows.jsonl.meta.json"
+        meta.write_text(json.dumps({"campaign": "mixed", "scenarios": scenarios}))
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 0 and report.skipped == 4
+        rewritten = meta.read_bytes()
+        index = json.loads(rewritten)["scenarios"]
+        assert [e["scenario"] for e in index] == [
+            scenario_hash(s) for s in campaign.scenarios
+        ]
+        assert {e["origin"] for e in index} == {"simulated"}
+        run_campaign(campaign, out=out, resume=True)
+        assert meta.read_bytes() == rewritten
+
     def test_noop_resume_never_resolves_a_topology(self, tmp_path, monkeypatch):
         """A fully-cached resume short-circuits before spec resolution:
         O(hash count) plus the byte replay, no topology construction."""
@@ -539,6 +560,92 @@ class TestTelemetrySidecar:
         assert events[-1]["sims"] == 2
 
 
+class TestResumeReadsLikeTheStore:
+    """The resume files are read one generation at a time, and a line
+    replays only when the store would accept its scenario's entry."""
+
+    @pytest.fixture(scope="class")
+    def probed_clean(self, tmp_path_factory):
+        """Probe-armed scenarios A and B: (campaign, rows, sidecar)."""
+        campaign = Campaign("probed-ab", [
+            TestTelemetrySidecar.probed_scenario(label, loads=(0.1, 0.3), seed=k)
+            for k, label in enumerate("AB")
+        ])
+        out = tmp_path_factory.mktemp("probed") / "clean.jsonl"
+        run_campaign(campaign, out=out)
+        sidecar = out.with_name(out.name + ".metrics.jsonl").read_bytes()
+        return campaign, out.read_bytes(), sidecar
+
+    @staticmethod
+    def files(tmp_path):
+        out = tmp_path / "rows.jsonl"
+        return out, tmp_path / "rows.jsonl.metrics.jsonl"
+
+    def test_two_interrupted_runs_resume_the_clean_bytes(self, tmp_path, probed_clean):
+        # Kill #1 left A's rows and, while writing B, B's first sidecar
+        # line and half its second; the resume of it finished writing
+        # the temp pair and was killed before renaming it.
+        campaign, clean, clean_sidecar = probed_clean
+        out, sidecar = self.files(tmp_path)
+        rows = clean.splitlines(keepends=True)
+        lines = clean_sidecar.splitlines(keepends=True)
+        assert len(rows) == len(lines) == 4
+        out.write_bytes(b"".join(rows[:2]))
+        sidecar.write_bytes(b"".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+        (tmp_path / "rows.jsonl.tmp").write_bytes(clean)
+        (tmp_path / "rows.jsonl.metrics.jsonl.tmp").write_bytes(clean_sidecar)
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 0 and report.skipped == 2
+        assert out.read_bytes() == clean
+        assert sidecar.read_bytes() == clean_sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "rows.jsonl", "rows.jsonl.meta.json", "rows.jsonl.metrics.jsonl"
+        ]
+
+    def test_a_list_as_scenario_hash_is_ignored(self, tmp_path, probed_clean):
+        campaign, clean, clean_sidecar = probed_clean
+        out, sidecar = self.files(tmp_path)
+        bogus = {"campaign": campaign.name, "scenario": ["x"], "row": 0, "rows": 1}
+        out.write_bytes(json.dumps(bogus).encode() + b"\n" + clean)
+        sidecar.write_bytes(clean_sidecar)
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 0 and report.skipped == 2
+        assert out.read_bytes() == clean
+
+    def test_rows_without_payload_resimulate(self, tmp_path, probed_clean):
+        campaign, clean, clean_sidecar = probed_clean
+        out, sidecar = self.files(tmp_path)
+        out.write_bytes(b"".join(
+            canonical_json({"campaign": campaign.name, "scenario": scenario_hash(s),
+                            "row": i, "rows": s.num_rows}).encode() + b"\n"
+            for s in campaign.scenarios
+            for i in range(s.num_rows)
+        ))
+        report = run_campaign(campaign, out=out, resume=True)
+        assert report.simulated == 2 and report.skipped == 0
+        assert out.read_bytes() == clean
+        assert sidecar.read_bytes() == clean_sidecar
+
+    @pytest.mark.parametrize("where", ["rows", "sidecar"])
+    def test_deeply_nested_line_counts_as_torn(self, tmp_path, probed_clean, where):
+        campaign, clean, clean_sidecar = probed_clean
+        out, sidecar = self.files(tmp_path)
+        nested = b"[" * 100_000 + b"\n"
+        rows = clean.splitlines(keepends=True)
+        lines = clean_sidecar.splitlines(keepends=True)
+        if where == "rows":
+            rows.insert(2, nested)
+        else:
+            lines.insert(2, nested)
+        out.write_bytes(b"".join(rows))
+        sidecar.write_bytes(b"".join(lines))
+        report = run_campaign(campaign, out=out, resume=True)
+        # A torn sidecar line between A and B may belong to either.
+        assert report.simulated == (0 if where == "rows" else 2)
+        assert out.read_bytes() == clean
+        assert sidecar.read_bytes() == clean_sidecar
+
+
 class TestCampaignCLI:
     def test_cli_runs_and_resumes(self, tmp_path, capsys):
         campaign = Campaign("cli", [open_scenario(), closed_scenario()])
@@ -560,6 +667,30 @@ class TestCampaignCLI:
     def test_cli_missing_file_errors(self, tmp_path, capsys):
         assert cli_main(["campaign", str(tmp_path / "nope.json")]) == 2
         assert cli_main(["campaign"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"name":"x","scenarios":5}',
+        '{"name":"x"}',
+        "[1,2]",
+        '{"name":"x","scenarios":[5]}',
+        '{"name":5,"scenarios":[]}',
+        "not json",
+        "unknown-topology",
+    ], ids=["scenarios-int", "no-scenarios", "array", "scenario-int", "name-int",
+            "not-json", "unknown-topology"])
+    def test_cli_malformed_campaign_file_is_one_error_line(
+        self, tmp_path, capsys, text
+    ):
+        if text == "unknown-topology":
+            spec = open_scenario().to_dict()
+            spec["topology"]["name"] = "NOPE"
+            text = json.dumps({"name": "x", "scenarios": [spec]})
+        cfile = tmp_path / "c.json"
+        cfile.write_text(text)
+        assert cli_main(["campaign", str(cfile)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfile}: ")
+        assert not (tmp_path / "c.results.jsonl").exists()
 
     def test_cli_rejects_stray_positional(self, capsys):
         # `fig6 worstcase` (forgotten --pattern) must not silently run

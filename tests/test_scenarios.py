@@ -17,7 +17,7 @@ from repro.scenarios import (
     canonical_json,
     scenario_hash,
 )
-from repro.scenarios.spec import splice_campaign
+from repro.scenarios.spec import splice_campaign, unsplice_campaign
 from repro.sim.config import SimConfig
 
 CFG = SimConfig(warmup_cycles=20, measure_cycles=60, drain_cycles=200)
@@ -139,9 +139,9 @@ class TestSpliceCampaign:
     @example(row={"accepted": float("nan"), "cam": None, "campaigns": True}, name="é")
     @example(row={"channel_load": [1e-05, 0.5]}, name="")
     def test_splice_equals_encoding_the_stamped_row(self, row, name):
-        assert splice_campaign(canonical_json(row), row, name) == canonical_json(
-            {"campaign": name, **row}
-        )
+        stamped = splice_campaign(canonical_json(row), row, name)
+        assert stamped == canonical_json({"campaign": name, **row})
+        assert unsplice_campaign(stamped, row, name) == canonical_json(row)
 
     def test_a_row_with_a_campaign_is_refused(self):
         row = {"campaign": "old", "row": 0}

@@ -243,6 +243,15 @@ class TestStore:
         bad_fault = {**base, "spec": {**s.to_dict(), "fault": [1]}}
         with pytest.raises(StoreIntegrityError, match="does not parse"):
             StoreEntry(h, [bad_fault]).validate()
+        # So is a spec nested past the encoder's limit: it cannot re-hash.
+        # (The row text is given, as a reader has it: encoding would fail.)
+        deep: list = []
+        for _ in range(100_000):
+            deep = [deep]
+        routing = {"name": "min", "params": {"deep": deep}}
+        too_deep = {**base, "spec": {**s.to_dict(), "routing": routing}}
+        with pytest.raises(StoreIntegrityError, match="does not parse"):
+            StoreEntry(h, [too_deep], row_texts=["{}"]).validate()
 
     def test_memory_store_and_open_store_dispatch(self, tmp_path):
         mem = open_store("memory:")
