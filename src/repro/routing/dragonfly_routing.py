@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
 from repro.topologies.dragonfly import Dragonfly
-from repro.util.rng import make_rng
+from repro.util.rng import draw_stream
 
 
 class DragonflyMinimal(SourceRoutedAlgorithm):
@@ -85,7 +85,7 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
         self.tables = tables
         self.num_candidates = num_candidates
         self.mode = mode
-        self.rng = make_rng(seed)
+        self.rng = draw_stream(seed)
         self.name = name
         self.num_vcs = max(1, 2 * tables.diameter())
         self._minimal = DragonflyMinimal(topology, tables)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.routing.base import RoutingAlgorithm
 from repro.topologies.fattree import AGG, CORE, EDGE, FatTree3
-from repro.util.rng import make_rng
+from repro.util.rng import draw_stream
 
 
 class ANCARouting(RoutingAlgorithm):
@@ -28,7 +28,7 @@ class ANCARouting(RoutingAlgorithm):
 
     def __init__(self, topology: FatTree3, seed=None, name: str = "FT-ANCA"):
         self.topology = topology
-        self.rng = make_rng(seed)
+        self.rng = draw_stream(seed)
         self.name = name
         self.num_vcs = 4  # longest route: edge-agg-core-agg-edge = 4 hops
 
@@ -37,7 +37,7 @@ class ANCARouting(RoutingAlgorithm):
 
     def _least_loaded(self, at: int, candidates: list[int], network) -> int:
         if network is None or len(candidates) == 1:
-            return candidates[int(self.rng.integers(len(candidates)))]
+            return candidates[self.rng.integers(len(candidates))]
         best, best_q = [], None
         for v in candidates:
             q = network.queue_length(at, v)
@@ -45,7 +45,7 @@ class ANCARouting(RoutingAlgorithm):
                 best, best_q = [v], q
             elif q == best_q:
                 best.append(v)
-        return best[int(self.rng.integers(len(best)))]
+        return best[self.rng.integers(len(best))]
 
     def next_hop(self, at_router: int, dst_router: int, packet, network) -> int:
         topo = self.topology

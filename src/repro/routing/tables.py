@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.distance import adjacency_to_csr
-from repro.util.rng import make_rng
 
 
 class RoutingTables:
@@ -118,8 +117,11 @@ class RoutingTables:
         return path
 
     def sample_min_path(self, src: int, dst: int, rng) -> list[int]:
-        """Uniformly-random-per-hop shortest path (used by VAL segments)."""
-        rng = make_rng(rng)
+        """Uniformly-random-per-hop shortest path (used by VAL segments).
+
+        ``rng`` is a ``Generator`` or a :class:`~repro.util.rng.DrawStream`;
+        a hop draws ``rng.integers(k)`` only when ``k > 1`` next hops tie.
+        """
         memo = self._hop_sets
         n = self.num_routers
         path = [src]
@@ -127,7 +129,7 @@ class RoutingTables:
         while at != dst:
             # Off the diagonal every set is non-empty, so a miss is None.
             cands = memo.get(at * n + dst) or self._hop_set(at, dst)
-            at = cands[int(rng.integers(len(cands)))] if len(cands) > 1 else cands[0]
+            at = cands[rng.integers(len(cands))] if len(cands) > 1 else cands[0]
             path.append(at)
         return path
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
 from repro.routing.valiant import ValiantRouting
-from repro.util.rng import make_rng
+from repro.util.rng import draw_stream
 
 
 class UGALRouting(SourceRoutedAlgorithm):
@@ -47,7 +47,7 @@ class UGALRouting(SourceRoutedAlgorithm):
         self.tables = tables
         self.mode = mode
         self.num_candidates = num_candidates
-        self.rng = make_rng(seed)
+        self.rng = draw_stream(seed)
         self.valiant = ValiantRouting(tables, seed=self.rng)
         self.name = name or ("UGAL-L" if mode == "local" else "UGAL-G")
         self.num_vcs = max(1, 2 * tables.diameter())

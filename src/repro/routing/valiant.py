@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
-from repro.util.rng import make_rng
+from repro.util.rng import draw_stream
 
 
 def stitch(first_leg: list[int], second_leg: list[int]) -> list[int]:
@@ -35,7 +35,7 @@ class ValiantRouting(SourceRoutedAlgorithm):
         name: str = "VAL",
     ):
         self.tables = tables
-        self.rng = make_rng(seed)
+        self.rng = draw_stream(seed)
         self.max_hops = max_hops
         self.max_resample = max_resample
         self.name = name

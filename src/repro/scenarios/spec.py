@@ -80,6 +80,26 @@ def unsplice_campaign(stamped: str, row: dict, campaign: str) -> str:
     return stamped[:cut] + stamped[cut + len(field) :]
 
 
+def _object(data, where: str) -> dict:
+    """``data`` when it is a JSON object, else a ValueError naming ``where``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    return data
+
+
+def _string(data: dict, key: str, where: str, default=None) -> str:
+    """``data[key]`` when it is a string, else a ValueError naming the field."""
+    value = data.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
+def _params(data: dict, where: str) -> dict:
+    """A copy of ``data["params"]`` (absent or null: empty)."""
+    return dict(_object(data.get("params") or {}, f"{where}.params"))
+
+
 @dataclass
 class TopologySpec:
     """A topology by registry name.
@@ -120,11 +140,12 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TopologySpec":
+        _object(data, "topology")
         return cls(
-            name=data["name"],
+            name=_string(data, "name", "topology"),
             target_endpoints=data.get("target_endpoints"),
             seed=data.get("seed"),
-            params=dict(data.get("params") or {}),
+            params=_params(data, "topology"),
         )
 
 
@@ -159,7 +180,10 @@ class RoutingSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingSpec":
-        return cls(name=data["name"], params=dict(data.get("params") or {}))
+        _object(data, "routing")
+        return cls(
+            name=_string(data, "name", "routing"), params=_params(data, "routing")
+        )
 
 
 @dataclass
@@ -188,7 +212,8 @@ class TrafficSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrafficSpec":
-        return cls(pattern=data["pattern"], seed=data.get("seed"))
+        _object(data, "traffic")
+        return cls(pattern=_string(data, "pattern", "traffic"), seed=data.get("seed"))
 
 
 @dataclass
@@ -230,9 +255,13 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
+        _object(data, "workload")
+        ranks = data.get("ranks")
+        if not isinstance(ranks, int) or isinstance(ranks, bool):
+            raise ValueError(f"workload.ranks must be an integer, got {ranks!r}")
         return cls(
-            kind=data["kind"],
-            ranks=data["ranks"],
+            kind=_string(data, "kind", "workload"),
+            ranks=ranks,
             size_flits=data.get("size_flits", 16),
             iterations=data.get("iterations", 2),
             placement=data.get("placement", "spread"),
@@ -311,6 +340,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
+        _object(data, "fault")
         return cls(
             link_fraction=data.get("link_fraction", 0.0),
             router_fraction=data.get("router_fraction", 0.0),
@@ -531,6 +561,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """Rebuild a scenario; :class:`ValueError` names a missing or
+        ill-typed field."""
+        _object(data, "scenario")
+        missing = [key for key in ("topology", "routing", "sim") if key not in data]
+        if missing:
+            raise ValueError(f"scenario is missing {', '.join(map(repr, missing))}")
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             routing=RoutingSpec.from_dict(data["routing"]),
@@ -548,7 +584,7 @@ class Scenario:
             stop_after_saturation=data.get("stop_after_saturation", 1),
             max_cycles=data.get("max_cycles"),
             label=data.get("label", ""),
-            backend=data.get("backend", "cycle"),
+            backend=_string(data, "backend", "scenario", "cycle"),
             telemetry=(
                 TelemetrySpec.from_dict(data["telemetry"])
                 if data.get("telemetry")

@@ -141,6 +141,8 @@ class TelemetrySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetrySpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"telemetry must be a JSON object, got {data!r}")
         known = {"latency_hist", "channel_flits", "queue_occupancy", "routing_decisions"}
         unknown = set(data) - known
         if unknown:

@@ -675,15 +675,37 @@ class TestCampaignCLI:
         '{"name":"x","scenarios":[5]}',
         '{"name":5,"scenarios":[]}',
         "not json",
-        "unknown-topology",
+        (("topology", "name"), "NOPE"),
+        '{"name":"x","scenarios":[{}]}',
+        '{"name":"x","scenarios":[{"topology":5}]}',
+        (("sim",), None),
+        (("topology",), 5),
+        (("topology", "name"), [1]),
+        (("routing",), "min"),
+        (("routing", "params"), 5),
+        (("traffic",), [1]),
+        (("traffic", "pattern"), {}),
+        (("telemetry",), 3),
+        (("backend",), [1]),
     ], ids=["scenarios-int", "no-scenarios", "array", "scenario-int", "name-int",
-            "not-json", "unknown-topology"])
+            "not-json", "unknown-topology", "scenario-empty", "only-topology-int",
+            "no-sim", "topology-int", "topology-name-list", "routing-str",
+            "routing-params-int", "traffic-list", "traffic-pattern-object",
+            "telemetry-int", "backend-list"])
     def test_cli_malformed_campaign_file_is_one_error_line(
         self, tmp_path, capsys, text
     ):
-        if text == "unknown-topology":
+        if isinstance(text, tuple):
+            # One field of a valid spec replaced, or removed for None.
+            (*parents, key), value = text
             spec = open_scenario().to_dict()
-            spec["topology"]["name"] = "NOPE"
+            parent = spec
+            for name in parents:
+                parent = parent[name]
+            if value is None:
+                del parent[key]
+            else:
+                parent[key] = value
             text = json.dumps({"name": "x", "scenarios": [spec]})
         cfile = tmp_path / "c.json"
         cfile.write_text(text)

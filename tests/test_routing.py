@@ -17,7 +17,7 @@ from repro.routing import (
     ValiantRouting,
 )
 from repro.routing.valiant import stitch
-from repro.topologies import Dragonfly, SlimFly
+from repro.topologies import Dragonfly, FatTree3, SlimFly
 from repro.topologies.fattree import AGG, CORE, EDGE
 
 
@@ -353,6 +353,22 @@ def reference_df_ugal_plan(topo, ref, rng, src, dst, network, mode,
     return _reference_pick(cands, network, mode)
 
 
+def reference_least_loaded(rng, at, candidates, network):
+    if network is not None:
+        queues = [network.queue_length(at, v) for v in candidates]
+        candidates = [v for v, q in zip(candidates, queues) if q == min(queues)]
+    return candidates[int(rng.integers(len(candidates)))]
+
+
+def reference_anca_next_hop(topo, rng, at, dst, network):
+    level = topo.level(at)
+    if level == CORE:
+        return next(v for v in topo.down_neighbors(at) if topo.pod(v) == topo.pod(dst))
+    if level == AGG and topo.pod(at) == topo.pod(dst):
+        return dst
+    return reference_least_loaded(rng, at, topo.up_neighbors(at), network)
+
+
 PINNED_TOPOLOGIES = {
     "SF-q5": lambda: SlimFly.from_q(5),
     "SF-q7": lambda: SlimFly.from_q(7),
@@ -500,6 +516,40 @@ class TestPlannersPinnedToReference:
             ),
             r.rng, ref_rng,
         )
+
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("with_network", [True, False])
+    def test_anca_next_hop(self, p, with_network):
+        topo = FatTree3(p)
+        occ_rng = np.random.default_rng(7)
+        # Occupancies in {0, 1, 2}: least-loaded sets of one member
+        # (a draw from range(1), which consumes nothing) and of several.
+        net = FakeNetwork({
+            (u, v): int(occ_rng.integers(0, 3))
+            for u, nbrs in enumerate(topo.adjacency)
+            for v in nbrs
+        }) if with_network else None
+        r = ANCARouting(topo, seed=23)
+        ref_rng = np.random.default_rng(23)
+        pairs = np.random.default_rng(2024).integers(topo.n_edge, size=(PINNED_PAIRS, 2))
+        singles = 0
+        for src, dst in pairs.tolist():
+            at = src
+            while at != dst:
+                going_up = topo.level(at) == EDGE or (
+                    topo.level(at) == AGG and topo.pod(at) != topo.pod(dst)
+                )
+                if going_up and net is not None:
+                    ups = topo.up_neighbors(at)
+                    queues = [net.queue_length(at, v) for v in ups]
+                    singles += queues.count(min(queues)) == 1
+                hop = r.next_hop(at, dst, None, net)
+                assert hop == reference_anca_next_hop(topo, ref_rng, at, dst, net), (
+                    src, dst, at,
+                )
+                assert r.rng.bit_generator.state == ref_rng.bit_generator.state
+                at = hop
+        assert singles > 0 or net is None
 
 
 class TestTwoRouterValiant:

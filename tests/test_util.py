@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.util import (
     Series,
@@ -14,6 +15,7 @@ from repro.util import (
     make_rng,
     spawn_rngs,
 )
+from repro.util.rng import BLOCK_WORDS, DrawStream, draw_stream
 from repro.util.series import crossover
 from repro.util.tables import format_cell
 
@@ -35,6 +37,99 @@ class TestRng:
         g = np.random.default_rng(0)
         children = spawn_rngs(g, 3)
         assert len(children) == 3
+
+
+#: Bounds a draw run picks from: n == 1 consumes nothing, 2**31 + 7
+#: rejects about half of its words, 2**32 takes a raw half-word.
+EDGE_BOUNDS = (1, 2, 2**31 + 7, 2**32)
+_BOUNDS = st.one_of(st.sampled_from(EDGE_BOUNDS), st.integers(1, 2**32))
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("draws"), st.lists(_BOUNDS, min_size=1, max_size=40)),
+    st.tuples(
+        st.sampled_from(["state", "stream-random", "bare-random", "bare-wide",
+                         "bare-small"]),
+        st.none(),
+    ),
+)
+
+
+class TestDrawStream:
+    """A DrawStream's draws and generator state equal a bare generator's.
+
+    The stream depends only on PCG64's raw words, which numpy keeps
+    stable across versions; ``Generator.integers`` has no such
+    guarantee, so the reference is the installed numpy's own
+    ``default_rng``, never a table of pinned values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), operations=st.lists(_OPERATIONS, max_size=30))
+    def test_interleaved_calls_match_the_bare_generator(self, seed, operations):
+        generator = np.random.default_rng(seed)
+        stream = DrawStream(generator)
+        bare = np.random.default_rng(seed)
+        for kind, bounds in [("draws", list(EDGE_BOUNDS))] + operations:
+            if kind == "draws":
+                for n in bounds:
+                    got = stream.integers(n)
+                    assert type(got) is int and got == bare.integers(n), n
+            elif kind == "stream-random":
+                assert stream.random() == bare.random()
+            elif kind != "state":
+                stream.bit_generator  # a sync hands the bit stream back
+                if kind == "bare-random":
+                    assert generator.random() == bare.random()
+                elif kind == "bare-wide":
+                    assert generator.integers(0, 2**40) == bare.integers(0, 2**40)
+                else:  # leaves the generator holding a pending half-word
+                    assert generator.integers(5) == bare.integers(5)
+            assert stream.bit_generator.state == bare.bit_generator.state, kind
+
+    @pytest.mark.parametrize("check_every", [None, 641])
+    def test_runs_across_blocks(self, check_every):
+        stream, bare = draw_stream(2024), np.random.default_rng(2024)
+        bounds = (2, 3, 7, 59, 1, 2**31 + 7, 2**32)
+        # Six of every seven draws take at least a half-word: three blocks.
+        for i in range(7 * BLOCK_WORDS):
+            n = bounds[i % len(bounds)]
+            assert stream.integers(n) == bare.integers(n), i
+            if check_every and i % check_every == 0:
+                assert stream.bit_generator.state == bare.bit_generator.state, i
+        assert stream.bit_generator.state == bare.bit_generator.state
+
+    def test_the_first_draw_pulls_the_first_block(self):
+        generator = np.random.default_rng(3)
+        before = generator.bit_generator.state
+        stream = DrawStream(generator)
+        stream.integers(1)
+        assert generator.bit_generator.state == before
+        stream.integers(5)
+        ahead = np.random.default_rng(3).bit_generator
+        ahead.advance(BLOCK_WORDS)
+        assert generator.bit_generator.state["state"] == ahead.state["state"]
+
+    def test_streams_and_generators_pass_through(self):
+        stream = draw_stream(1)
+        assert isinstance(stream, DrawStream)
+        assert draw_stream(stream) is stream
+        generator = np.random.default_rng(1)
+        assert draw_stream(generator) is generator
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64])
+    def test_a_bit_generator_seed_stays_unbuffered(self, bit_generator):
+        # The caller keeps the bit generator and may read it directly.
+        seed = bit_generator(5)
+        rng = draw_stream(seed)
+        assert isinstance(rng, np.random.Generator) and rng.bit_generator is seed
+
+    def test_needs_pcg64(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            DrawStream(np.random.Generator(np.random.MT19937(5)))
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2**40])
+    def test_bounds_outside_the_32_bit_path_raise(self, n):
+        stream = draw_stream(0)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream.integers(n)
 
 
 class TestTables:
