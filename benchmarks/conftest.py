@@ -1,10 +1,6 @@
-"""Benchmark-suite configuration.
-
-One benchmark module per paper table/figure.  Each benchmark times the
-computation that regenerates its artifact at ``quick`` scale and
-asserts the paper's qualitative shape on the produced data, so
-``pytest benchmarks/ --benchmark-only`` both measures and validates.
-"""
+"""Benchmark-suite configuration: the round bound below for the
+pytest-benchmark speed gates (``bench_*.py``); ``e2e/`` is the
+end-to-end benchmark."""
 
 import pytest
 
@@ -17,10 +13,3 @@ def pytest_collection_modifyitems(items):
         item.add_marker(
             pytest.mark.benchmark(min_rounds=1, max_time=2.0, warmup=False)
         )
-
-
-@pytest.fixture(scope="session")
-def quick_scale():
-    from repro.experiments.common import Scale
-
-    return Scale.QUICK

@@ -22,12 +22,15 @@ output back into the paper's deliverables:
 - :mod:`repro.analysis.frames` — campaign JSONL -> tidy, schema-checked
   row tables with group/aggregate helpers (mean ± CI, saturation-point
   detection).
+- :mod:`repro.analysis.claims` — the paper's qualitative results as
+  one table of claims, each judged reproduced, not reproduced,
+  inconclusive or untested over rows or experiment results.
 - :mod:`repro.analysis.figures` — figure renderers for the paper's
   families: byte-deterministic builtin SVG backend, optional matplotlib
   PNG backend.
 - :mod:`repro.analysis.report` — campaign files + analytic experiments
-  -> ``REPORT.md`` with embedded figures and per-figure provenance
-  (``python -m repro.experiments report``).
+  -> ``REPORT.md`` with the claims' verdicts, embedded figures and
+  per-figure provenance (``python -m repro.experiments report``).
 """
 
 from repro.analysis.distance import (

@@ -171,6 +171,17 @@ class Curve:
     def __len__(self) -> int:
         return len(self.loads)
 
+    @property
+    def low_load_latency(self) -> float | None:
+        """The latency at the lowest load that measured one, else ``None``."""
+        return next((v for v in self.latency if v is not None), None)
+
+    @property
+    def peak_accepted(self) -> float | None:
+        """The largest accepted load measured along the sweep; ``None``
+        when no point measured one (a disconnected fault sample)."""
+        return max((a for a in self.accepted if a is not None), default=None)
+
 
 @dataclass
 class RowTable:
@@ -540,6 +551,22 @@ def saturation_point(curve: Curve, knee_factor: float = 3.0) -> float | None:
                 if lat > knee_factor * base:
                     return load
     return None
+
+
+def fault_sweeps(table: RowTable) -> dict[str, list[tuple[float, Curve]]]:
+    """A dead-link sweep's curves per protocol, by ascending fraction.
+
+    Labels ``PROTOCOL/f=FRACTION`` (the ``fault_degradation``
+    convention) group by protocol; each curve's fraction is its spec's
+    ``fault.link_fraction``, 0 for the healthy baseline.
+    """
+    out: dict[str, list[tuple[float, Curve]]] = {}
+    for c in table.curves():
+        frac = float(((c.spec or {}).get("fault") or {}).get("link_fraction", 0.0))
+        out.setdefault(c.label.split("/f=", 1)[0], []).append((frac, c))
+    for points in out.values():
+        points.sort(key=lambda p: p[0])
+    return out
 
 
 # -- provenance ------------------------------------------------------------

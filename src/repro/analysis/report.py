@@ -3,9 +3,10 @@
 :func:`build_report` is the last mile of the reproduction pipeline: it
 ingests campaign output files (plus the analytic cost/power
 experiments), renders every figure family the rows support through
-:mod:`repro.analysis.figures`, and writes a ``REPORT.md`` whose every
-figure carries provenance (scenario hashes, seeds, worker counts) and
-paper-vs-reproduction commentary.
+:mod:`repro.analysis.figures`, and writes a ``REPORT.md`` that opens
+with the verdict of every paper claim (:mod:`repro.analysis.claims`)
+and whose every figure carries its claims' verdicts and provenance
+(scenario hashes, seeds, worker counts).
 
 Figure families are recognised by campaign-name prefix — ``fig6-*``
 (latency/throughput curves), ``fig8a-*`` (buffer panels),
@@ -31,6 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro._version import __version__
+from repro.analysis import claims
 from repro.analysis.figures import (
     BarFigure,
     GroupedBarFigure,
@@ -42,69 +44,16 @@ from repro.analysis.figures import (
 from repro.analysis.frames import (
     MetricsTable,
     RowTable,
+    fault_sweeps,
     metrics_sidecar,
     provenance,
     saturation_point,
 )
 
-#: Paper-vs-reproduction commentary hooks, keyed by figure family.
-PAPER_EXPECTATIONS = {
-    "fig6": (
-        "Paper (Fig 6): Slim Fly's diameter 2 gives it the lowest low-load "
-        "latency; SF-MIN sustains near-full uniform throughput while VAL "
-        "saturates below ~50%; on worst-case traffic MIN collapses to "
-        "~1/(p+1) while UGAL sustains ~40-45% and the full-bandwidth fat "
-        "tree keeps the highest worst-case load."
-    ),
-    "buffers": (
-        "Paper (Fig 8a): smaller input buffers give lower latency near "
-        "saturation (stiffer backpressure), larger buffers higher "
-        "sustained bandwidth."
-    ),
-    "oversub": (
-        "Paper (Fig 8b-e): oversubscribed Slim Flies degrade gracefully - "
-        "the q=19 network accepts ~87.5% (balanced), ~80%, ~75% of uniform "
-        "traffic as concentration grows."
-    ),
-    "fig9": (
-        "Paper (Fig 9): under the worst-case pattern minimal routing "
-        "funnels all traffic through a handful of saturated channels while "
-        "the rest sit idle; adaptive UGAL flattens the distribution, "
-        "spreading the same traffic over many moderately-loaded channels."
-    ),
-    "workload": (
-        "Deployment follow-up (Blach et al., 2023): diameter-2 Slim Fly "
-        "under MIN wins latency-bound collectives (broadcast/gather trees); "
-        "the full-bisection fat tree is hardest to beat on bandwidth-bound "
-        "all-to-all; adaptive UGAL never loses to oblivious Valiant."
-    ),
-    "cost": (
-        "Paper (Figs 11c/12c/13c): Slim Fly is the cheapest network beyond "
-        "~5K endpoints (~25% cheaper than Dragonfly), and the ordering is "
-        "insensitive to the cable product."
-    ),
-    "power": (
-        "Paper (Figs 11d/12d/13d): Slim Fly draws the least power per "
-        "endpoint - more than 25% below Dragonfly/FBF/DLN at scale."
-    ),
-    "fault": (
-        "Paper (§III-D, Table 3) and the 2023 deployment follow-up: Slim "
-        "Fly's router graph degrades gracefully under link loss — the "
-        "network stays connected and low-diameter at double-digit dead-link "
-        "fractions, so rerouted MIN/VAL/UGAL keep most of their healthy "
-        "latency and throughput, degrading smoothly rather than falling "
-        "off a cliff."
-    ),
-    "generic": (
-        "User-defined campaign: no specific paper panel is pinned to this "
-        "grid; curves are rendered with the standard figure styling."
-    ),
-}
-
-
 @dataclass
 class FigureArtifact:
-    """One rendered figure plus everything REPORT.md says about it."""
+    """One rendered figure plus everything REPORT.md says about it
+    (``commentary`` holds claim verdict lines among the notes)."""
 
     name: str
     title: str
@@ -177,22 +126,6 @@ def _unique_name(base: str, used_names: set) -> str:
     return name
 
 
-def _family(campaign: str, engine: str) -> str:
-    if campaign.startswith("fig6"):
-        return "fig6"
-    if campaign.startswith("fig9"):
-        return "fig9"
-    if campaign.startswith("fig8a"):
-        return "buffers"
-    if campaign.startswith("fig8-oversub"):
-        return "oversub"
-    if campaign.startswith("workload-completion"):
-        return "workload"
-    if campaign.startswith("fault"):
-        return "fault"
-    return "workload" if engine == "closed" else "generic"
-
-
 def _open_loop_figures(campaign: str, table: RowTable, family: str):
     """Latency + throughput curve figures for one open-loop campaign.
 
@@ -246,11 +179,6 @@ def _open_loop_figures(campaign: str, table: RowTable, family: str):
     figures = [(f"{_slug(campaign)}-latency", latency),
                (f"{_slug(campaign)}-throughput", accepted)]
     if family == "oversub":
-        cats, vals = [], []
-        for c in curves:
-            acc = [a for a in c.accepted if a is not None]
-            cats.append(c.label)
-            vals.append(max(acc) if acc else 0.0)
         figures.append(
             (
                 f"{_slug(campaign)}-accepted-bars",
@@ -258,8 +186,8 @@ def _open_loop_figures(campaign: str, table: RowTable, family: str):
                     title=f"{campaign}: max accepted throughput",
                     xlabel="concentration",
                     ylabel="max accepted load",
-                    categories=cats,
-                    values=vals,
+                    categories=[c.label for c in curves],
+                    values=[c.peak_accepted or 0.0 for c in curves],
                     value_fmt="{:.2f}",
                 ),
             )
@@ -278,23 +206,12 @@ def _fault_figures(campaign: str, table: RowTable):
     fragmented the network — contribute no y-value and render as gaps,
     with a commentary line calling them out.
     """
-    per_protocol: dict[str, list[tuple[float, float | None, float | None, bool]]] = {}
-    for c in table.curves():
-        protocol = c.label.split("/f=", 1)[0]
-        fault = (c.spec or {}).get("fault") or {}
-        frac = float(fault.get("link_fraction", 0.0))
-        latencies = [v for v in c.latency if v is not None]
-        accepted = [v for v in c.accepted if v is not None]
-        per_protocol.setdefault(protocol, []).append(
-            (
-                frac,
-                latencies[0] if latencies else None,
-                max(accepted) if accepted else None,
-                not latencies and not accepted,
-            )
-        )
-    for points in per_protocol.values():
-        points.sort(key=lambda t: t[0])
+    per_protocol = {
+        protocol: [(frac, c.low_load_latency, c.peak_accepted,
+                    c.low_load_latency is None and c.peak_accepted is None)
+                   for frac, c in sweeps]
+        for protocol, sweeps in fault_sweeps(table).items()
+    }
 
     def series(idx: int):
         return [
@@ -472,16 +389,17 @@ def _campaign_artifacts(
     workers_by_campaign: dict,
     sources_by_campaign: dict,
     used_names: set,
-    metrics: MetricsTable | None = None,
+    metrics: MetricsTable,
 ) -> list[FigureArtifact]:
     artifacts = []
     for campaign in table.campaigns():
         workers = workers_by_campaign.get(campaign)
         sub = table.filter(campaign=campaign)
+        verdicts = claims.campaign_verdicts(sub, metrics)
+        family = claims.family(campaign)
         # A campaign may mix engines; each engine renders its own family.
         parts = []
         if sub.open_rows():
-            family = _family(campaign, "open")
             figures, observed = _open_loop_figures(
                 campaign, sub.open_rows(), family
             )
@@ -495,11 +413,7 @@ def _campaign_artifacts(
             parts.append(
                 ("workload", figures, observed, provenance(sub.closed_rows()))
             )
-        loads_by_label = (
-            metrics.filter(campaign=campaign).channel_loads()
-            if metrics is not None
-            else {}
-        )
+        loads_by_label = metrics.filter(campaign=campaign).channel_loads()
         if loads_by_label:
             figures, observed = _channel_load_figures(campaign, loads_by_label)
             prov = [
@@ -508,7 +422,10 @@ def _campaign_artifacts(
                 if p["label"] in loads_by_label
             ]
             parts.append(("fig9", figures, observed, prov))
-        for family, figures, observed, prov in parts:
+        for part, figures, observed, prov in parts:
+            # Channel-load figures carry their campaign's claims: the
+            # fig9 claims read fig9 campaigns only.
+            judged = verdicts.get((campaign, "workload" if part == "workload" else family), [])
             for name, fig in figures:
                 # Distinct campaign names can slugify identically
                 # ("my.run" vs "my-run"); never overwrite a figure.
@@ -519,8 +436,8 @@ def _campaign_artifacts(
                         name=name,
                         title=fig.title,
                         paths=paths,
-                        family=family,
-                        commentary=observed,
+                        family=part,
+                        commentary=[v.line() for v in judged] + observed,
                         provenance=prov,
                         source=sources_by_campaign.get(campaign),
                         workers=workers,
@@ -687,6 +604,39 @@ def default_campaigns(scale, seed: int = 0):
     ]
 
 
+def _cell(text) -> str:
+    # Labels are arbitrary user strings; a raw pipe would split the
+    # Markdown cell and shift the columns.
+    return str(text).replace("|", "\\|")
+
+
+def _split(a: FigureArtifact) -> tuple[list, list[str]]:
+    """An artifact's commentary as (claim verdicts, other notes)."""
+    evidence = a.provenance[0]["campaign"] if a.provenance else a.source or ""
+    parsed = [(claims.parse(text, evidence), text) for text in a.commentary]
+    return [v for v, _ in parsed if v], [t for v, t in parsed if not v]
+
+
+def _claims_table(verdicts: list) -> list[str]:
+    """REPORT.md's opening section: every claim's verdicts."""
+    rows = claims.summary(list(dict.fromkeys(verdicts)))
+    counts = ", ".join(f"{sum(v.status == s for v in rows)} {s}" for s in claims.VERDICTS)
+    lines = [
+        "## Paper claims", "",
+        f"{len(rows)} verdicts on {len(claims.CLAIMS)} claims: {counts}. "
+        "References are to arXiv:1912.08968 unless they name another paper; "
+        "DESIGN.md (Layer 6) states the verdict rules.", "",
+        "| verdict | claim | statement | reference | evidence | detail |",
+        "|---|---|---|---|---|---|",
+    ]
+    lines.extend(
+        f"| {v.status} | `{v.claim.id}` | {_cell(v.claim.statement)} | {v.claim.ref} "
+        f"| {_cell(v.evidence or '-')} | {_cell(v.detail)} |"
+        for v in rows
+    )
+    return lines + [""]
+
+
 def _render_markdown(title: str, artifacts: list[FigureArtifact],
                      data_files: list[Path], out_dir: Path,
                      scale_value: str, warnings: Sequence[str] = ()) -> str:
@@ -711,26 +661,23 @@ def _render_markdown(title: str, artifacts: list[FigureArtifact],
         lines.append("Data-quality warnings:")
         lines.extend(f"- {w}" for w in warnings)
         lines.append("")
-    lines.extend(["## Contents", ""])
+    split = [_split(a) for a in artifacts]
+    lines.extend(_claims_table([v for judged, _ in split for v in judged]))
+    lines.extend(["## Contents", "", "- [Paper claims](#paper-claims)"])
     lines.extend(
         f"- [{a.title}](#{_anchor(a.title)})" for a in artifacts
     )
     lines.append("")
-    for a in artifacts:
+    for a, (judged, observed) in zip(artifacts, split):
         rel = a.paths[0].relative_to(out_dir)
-        lines.extend(
-            [
-                f"## {a.title}",
-                "",
-                f"![{a.name}]({rel.as_posix()})",
-                "",
-                f"**Paper expectation.** {PAPER_EXPECTATIONS[a.family]}",
-                "",
-            ]
-        )
-        if a.commentary:
+        lines.extend([f"## {a.title}", "", f"![{a.name}]({rel.as_posix()})", "",
+                      "**Paper claims.**" + ("" if judged else " None read these rows.")])
+        lines.extend(f"- {v.status}: {v.claim.statement} ({v.claim.ref}) — {v.detail}"
+                     for v in judged)
+        lines.append("")
+        if observed:
             lines.append("**Observed in this reproduction.**")
-            lines.extend(f"- {c}" for c in a.commentary)
+            lines.extend(f"- {c}" for c in observed)
             lines.append("")
         lines.append("**Provenance.**")
         if a.source:
@@ -750,9 +697,7 @@ def _render_markdown(title: str, artifacts: list[FigureArtifact],
             )
             for p in a.provenance:
                 seeds = ", ".join(f"{k}={v}" for k, v in p["seeds"].items())
-                # Labels are arbitrary user strings; a raw pipe would
-                # split the Markdown cell and shift the columns.
-                label = str(p["label"]).replace("|", "\\|")
+                label = _cell(p["label"])
                 fidelity = p.get("fidelity", "cycle") \
                     if p["engine"] != "analytic" else "-"
                 lines.append(
@@ -876,7 +821,7 @@ def build_report(
                     for c, s in sources_by_campaign.items()
                 },
                 used_names,
-                metrics=metrics,
+                metrics,
             )
         )
     for path, results in parsed_json:

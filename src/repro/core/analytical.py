@@ -33,9 +33,25 @@ class PerformanceEstimate:
 def zero_load_latency(
     average_hops: float, config: SimConfig | None = None
 ) -> float:
-    """Injection + hops×pipeline + ejection, in cycles."""
+    """Cycles from injection to tail-flit ejection with no contention:
+    ``hop_latency`` per router hop plus ``packet_length`` for the flits
+    to follow the head.  ``average_hops`` is the mean over endpoint
+    pairs, same-router pairs (0 hops) included, as :func:`estimate`
+    computes it."""
     cfg = config or SimConfig()
-    return 1.0 + average_hops * cfg.hop_latency + 1.0
+    return average_hops * cfg.hop_latency + cfg.packet_length
+
+
+def _endpoint_hops(topology: Topology) -> float:
+    """Mean router hops between two distinct uniform-random endpoints
+    (0 on one router; routers without endpoints carry no weight)."""
+    import numpy as np
+
+    from repro.analysis.distance import distance_matrix
+
+    weight = np.bincount(topology.endpoint_map, minlength=topology.num_routers)
+    n = topology.num_endpoints
+    return float(weight @ distance_matrix(topology.adjacency) @ weight) / (n * (n - 1))
 
 
 def uniform_saturation_load(topology: Topology, average_hops: float | None = None) -> float:
@@ -47,36 +63,32 @@ def uniform_saturation_load(topology: Topology, average_hops: float | None = Non
 
         r_sat = k' · N_r / (h̄ · p · N_r) = k' / (h̄ · p)
 
-    capped at 1.0 (injection line rate).  For a balanced Slim Fly this
-    lands at ≈0.9 — matching the measured ~87.5% (§V-E) within the
-    idealisation error.
+    capped at 1.0 (injection line rate).  ``h̄`` defaults to the mean
+    over endpoint pairs, as in :func:`estimate`.  For a balanced Slim
+    Fly this lands at ≈0.9 — matching the measured ~87.5% (§V-E)
+    within the idealisation error.
     """
-    if average_hops is None:
-        average_hops = topology.average_distance()
     p = topology.concentration
-    k = topology.network_radix
     if p == 0:
         return 1.0
-    return min(1.0, k / (average_hops * p))
+    if average_hops is None:
+        average_hops = _endpoint_hops(topology)
+    return min(1.0, topology.network_radix / (average_hops * p))
 
 
 def valiant_saturation_load(topology: Topology) -> float:
     """VAL doubles expected path length: ≈ half the minimal saturation."""
-    avg = topology.average_distance()
-    return min(1.0, uniform_saturation_load(topology, average_hops=2 * avg))
+    return uniform_saturation_load(topology, average_hops=2 * _endpoint_hops(topology))
 
 
 def estimate(topology: Topology, routing: str = "min", config: SimConfig | None = None) -> PerformanceEstimate:
-    """Bundle the closed-form numbers for MIN or VAL routing."""
-    avg = topology.average_distance()
-    if routing == "min":
-        sat = uniform_saturation_load(topology, avg)
-        hops = avg
-    elif routing == "val":
-        hops = 2 * avg
-        sat = uniform_saturation_load(topology, average_hops=hops)
-    else:
+    """Bundle the closed-form numbers for MIN or VAL routing, with hops
+    averaged over the endpoint pairs uniform traffic draws (VAL's two
+    legs double them)."""
+    if routing not in ("min", "val"):
         raise ValueError(f"routing must be 'min' or 'val', got {routing!r}")
+    hops = _endpoint_hops(topology) * (2 if routing == "val" else 1)
+    sat = uniform_saturation_load(topology, average_hops=hops)
     return PerformanceEstimate(
         zero_load_latency_cycles=zero_load_latency(hops, config),
         saturation_load=sat,

@@ -17,6 +17,7 @@ Three knobs the paper fixes empirically get swept here:
 
 from __future__ import annotations
 
+from repro.analysis import claims
 from repro.experiments.common import ExperimentResult, Scale, sim_config_for
 from repro.routing import RoutingTables, UGALRouting, ValiantRouting
 from repro.sim.engine import simulate
@@ -39,19 +40,15 @@ def run_ugal_candidates(scale=Scale.DEFAULT, seed=0, counts=(1, 2, 4, 8)) -> Exp
         "ablate-ugal", "Ablation: UGAL random-candidate count (§IV-C)"
     )
     rows = []
-    latencies = {}
     for c in counts:
         res = simulate(
             sf, UGALRouting(tables, "local", num_candidates=c, seed=seed),
             traffic, load, cfg,
         )
-        latencies[c] = res.avg_latency
         rows.append([c, round(res.avg_latency, 2), round(res.accepted_load, 3),
                      res.saturated])
     result.add_table(["candidates", "latency @ 0.5 load", "accepted", "saturated"], rows)
-    best = min(latencies, key=latencies.get)
-    result.note(f"lowest latency at {best} candidates (paper found 4 best; "
-                "2–8 are typically within noise of each other)")
+    claims.note(result)
     return result
 
 
@@ -65,17 +62,13 @@ def run_val_maxhops(scale=Scale.DEFAULT, seed=0) -> ExperimentResult:
         "ablate-val", "Ablation: Valiant path-length cap (§IV-B)"
     )
     rows = []
-    lat = {}
     for cap, label in ((None, "unconstrained (2-4 hops)"), (3, "capped at 3 hops")):
         res = simulate(
             sf, ValiantRouting(tables, seed=seed, max_hops=cap), traffic, 0.35, cfg
         )
-        lat[label] = res.avg_latency
         rows.append([label, round(res.avg_latency, 2), round(res.accepted_load, 3)])
     result.add_table(["variant", "latency @ 0.35 load", "accepted"], rows)
-    if lat["capped at 3 hops"] >= lat["unconstrained (2-4 hops)"] * 0.98:
-        result.note("shape holds: capping VAL paths does not reduce latency "
-                    "(paper: the cap *increases* it by limiting path choice)")
+    claims.note(result)
     return result
 
 
@@ -92,17 +85,11 @@ def run_primitive_element_invariance(scale=Scale.DEFAULT, seed=0) -> ExperimentR
         "ablate-xi", f"Ablation: primitive-element choice for q={q} (§II-B1)"
     )
     rows = []
-    stats = set()
     for xi in primitive_elements(field)[:4]:
         graph = MMSGraph(q, xi=xi)
         d, avg = diameter_and_average_distance(graph.adjacency)
         degrees = {len(n) for n in graph.adjacency}
         rows.append([xi, d, round(avg, 4), sorted(degrees)])
-        stats.add((d, round(avg, 6), tuple(sorted(degrees))))
     result.add_table(["xi", "diameter", "avg distance", "degrees"], rows)
-    if len(stats) == 1:
-        result.note("shape holds: every primitive element yields the same "
-                    "degree/diameter/average-distance signature")
-    else:  # pragma: no cover
-        result.note("SHAPE VIOLATION: structure depends on the primitive element")
+    claims.note(result)
     return result

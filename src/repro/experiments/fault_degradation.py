@@ -24,6 +24,8 @@ routing).
 
 from __future__ import annotations
 
+from repro.analysis import claims
+from repro.analysis.frames import RowTable, fault_sweeps
 from repro.experiments.common import (
     ExperimentResult,
     Scale,
@@ -127,11 +129,8 @@ def run(
     """
     scale = Scale.coerce(scale)
     camp = campaign(scale, seed=seed, backend=backend)
-    report = run_campaign(camp, workers=workers)
-
-    by_label: dict[str, list[dict]] = {}
-    for row in report.rows:
-        by_label.setdefault(row["label"], []).append(row)
+    table = RowTable.from_rows(run_campaign(camp, workers=workers).rows)
+    sweeps = fault_sweeps(table)
 
     result = ExperimentResult(
         "fault-degradation",
@@ -152,18 +151,9 @@ def run(
     for name, _ in PROTOCOLS:
         lat_series = latency_bundle.new(name)
         acc_series = throughput_bundle.new(name)
-        points = [
-            (label, rows)
-            for label, rows in by_label.items()
-            if label.split("/f=", 1)[0] == name
-        ]
-        for label, rows in points:
-            frac = float(label.split("/f=", 1)[1])
-            disconnected = any(r.get("disconnected") for r in rows)
-            latencies = [r["latency"] for r in rows if r["latency"] is not None]
-            accepted = [r["accepted"] for r in rows if r["accepted"] is not None]
-            low_lat = latencies[0] if latencies else None
-            peak = max(accepted) if accepted else None
+        for frac, c in sweeps.get(name, []):
+            low_lat, peak = c.low_load_latency, c.peak_accepted
+            disconnected = low_lat is None and peak is None
             if low_lat is not None:
                 lat_series.append(frac, round(low_lat, 2))
             if peak is not None:
@@ -179,7 +169,7 @@ def run(
             )
             if disconnected:
                 result.note(
-                    f"{label}: fault sample disconnected the network "
+                    f"{c.label}: fault sample disconnected the network "
                     f"(structured rows, no simulation)"
                 )
     result.add_bundle(latency_bundle)
@@ -194,4 +184,5 @@ def run(
         "all-pairs tables (§III-D resiliency argument, measured as in "
         "the 2023 deployment paper)"
     )
+    claims.note(result, "fault", table)
     return result

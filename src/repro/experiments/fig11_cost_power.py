@@ -7,13 +7,15 @@ vs network size, for each cable product.
 - ``what="cost"`` — total network cost vs N (Figs 11c/12c/13c).
 - ``what="power"`` — total power vs N (Figs 11d/12d/13d).
 
-Reproduction targets: SF the cheapest and most power-efficient curve
-beyond ~5K endpoints; LH-HC/HC/T5D the most expensive; the relative
-ordering insensitive to the cable product (paper: ≈1–2%).
+The paper finds SF the cheapest and most power-efficient curve beyond
+~5K endpoints, LH-HC/HC/T5D the most expensive, and the ordering
+insensitive to the cable product (≈1–2%); the ``fig11-cost`` and
+``fig11-power`` claims check SF's place.
 """
 
 from __future__ import annotations
 
+from repro.analysis import claims
 from repro.costmodel.cables import CABLE_MODELS, get_cable_model
 from repro.costmodel.cost import analytic_network_cost
 from repro.costmodel.counts import sweep_counts
@@ -101,14 +103,7 @@ def _run_cost(cable_name: str, max_endpoints: int) -> ExperimentResult:
             for name, v in final_cost.items()
         ],
     )
-    if "SF" in final_cost and "DF" in final_cost:
-        if final_cost["SF"] < final_cost["DF"]:
-            result.note(
-                "shape holds: SF is the cheapest per endpoint at scale "
-                f"(SF {final_cost['SF']:.0f} $ vs DF {final_cost['DF']:.0f} $)"
-            )
-        else:  # pragma: no cover
-            result.note("SHAPE VIOLATION: SF not cheapest")
+    claims.note(result)
     return result
 
 
@@ -133,9 +128,5 @@ def _run_power(max_endpoints: int) -> ExperimentResult:
         ["topology", "largest N", "W / endpoint at largest N"],
         [[name, bundle.get(name).x[-1], round(v, 2)] for name, v in per_node.items()],
     )
-    if "SF" in per_node and all(
-        per_node["SF"] <= v for k, v in per_node.items() if k != "SF"
-    ):
-        result.note("shape holds: SF draws the least power per endpoint (>25% "
-                    "below DF/FBF-3/DLN in the paper)")
+    claims.note(result)
     return result

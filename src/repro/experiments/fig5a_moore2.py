@@ -7,6 +7,7 @@ in k' — ≈ 1.6%), and diameter-2 Long Hop constructions (≈ 1%).
 
 from __future__ import annotations
 
+from repro.analysis import claims
 from repro.core.mms import MMSParams, mms_q_values
 from repro.core.moore import moore_bound_diameter2, moore_fraction
 from repro.experiments.common import ExperimentResult, Scale
@@ -67,15 +68,5 @@ def run(scale=Scale.DEFAULT, seed=0, max_radix: int | None = None) -> Experiment
 
     result.add_bundle(bundle)
     result.add_table(["construction", "k'", "Nr", "% of Moore bound"], rows)
-
-    # Shape check: SF within ~12% of the bound at the top of the range.
-    if rows:
-        top = max(rows, key=lambda r: r[1])
-        if top[3] >= 80.0:
-            result.note(
-                f"shape holds: SF MMS reaches {top[3]}% of the Moore bound at k'={top[1]} "
-                "(paper: 88%)"
-            )
-        else:  # pragma: no cover
-            result.note("SHAPE VIOLATION: SF MMS below 80% of the Moore bound")
+    claims.note(result)
     return result

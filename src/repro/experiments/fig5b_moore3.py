@@ -6,6 +6,7 @@ Curves: MB(k', 3), Delorme graphs (≈ 68% of the bound), BDF graphs
 
 from __future__ import annotations
 
+from repro.analysis import claims
 from repro.core.bdf import bdf_params, bdf_u_values
 from repro.core.delorme import delorme_configs
 from repro.core.moore import moore_bound_diameter3, moore_fraction
@@ -57,20 +58,5 @@ def run(scale=Scale.DEFAULT, seed=0, max_radix: int | None = None) -> Experiment
 
     result.add_bundle(bundle)
     result.add_table(["construction", "k'", "Nr", "% of Moore bound"], rows)
-
-    # Shape: DEL > BDF > DF > FBF-3 in Moore fraction at each family's
-    # largest plotted radix (small-radix points are noisy: a tiny DF is
-    # legitimately close to the bound).
-    def top_fraction(label: str) -> float:
-        pts = [(r[1], r[3]) for r in rows if r[0] == label]
-        return max(pts)[1] if pts else 0.0
-
-    order = [top_fraction(x) for x in ("DEL", "BDF", "DF", "FBF-3")]
-    if order == sorted(order, reverse=True):
-        result.note(
-            "shape holds: DEL > BDF > DF > FBF-3 "
-            f"({', '.join(f'{v:.0f}%' for v in order)}; paper: 68/30/14/4.9%)"
-        )
-    else:  # pragma: no cover
-        result.note("SHAPE VIOLATION: Moore-fraction ordering broken")
+    claims.note(result)
     return result

@@ -10,17 +10,15 @@ the declarative {protocol × load × replica} grid as serializable
 :class:`~repro.scenarios.Scenario` objects — and :func:`run` is a thin
 wrapper that executes it through
 :func:`~repro.scenarios.run_campaign` and renders the same rows the
-pre-campaign implementation produced.
-
-Reproduction targets: SF lowest latency at low load (diameter 2);
-SF-MIN near-full uniform throughput; VAL saturating below 50%;
-UGAL-L ≈ 80% of injection on uniform with a latency penalty over
-UGAL-G; worst-case MIN collapsing to ≈1/(2p) while VAL/UGAL sustain
-≈ 40–45%; FT-3 keeping the highest worst-case bandwidth.
+pre-campaign implementation produced.  Each panel's notes end with
+the verdicts of the ``fig6`` claims (:mod:`repro.analysis.claims`)
+over its rows.
 """
 
 from __future__ import annotations
 
+from repro.analysis import claims
+from repro.analysis.frames import RowTable
 from repro.experiments.common import (
     ExperimentResult,
     Scale,
@@ -43,19 +41,17 @@ from repro.traffic.registry import PATTERN_KINDS as PATTERNS  # noqa: F401
 from repro.util.series import SeriesBundle
 
 
-def _collect_panel(report, bundle: SeriesBundle):
-    """Campaign rows -> (table rows, first saturated load per label).
+def _collect_panel(result: ExperimentResult, report, title: str) -> ExperimentResult:
+    """Campaign rows -> ``result``'s bundle, table and claim verdicts.
 
     The shared aggregation of every Fig 6 panel renderer: one bundle
     series per protocol (finite-latency points only), the full result
-    table, and the saturation map ``_shape_notes`` checks (labels that
-    never saturate map to 1.0).
+    table, and the ``fig6`` claims' verdicts over the rows.
     """
+    bundle = SeriesBundle(title=title, xlabel="offered load", ylabel="latency [cycles]")
     rows = []
-    saturation: dict[str, float] = {}
     for name, points in rows_by_label(report).items():
         series = bundle.new(name)
-        sat_load = None
         for pt in points:
             if pt["latency"] is not None:
                 series.append(pt["load"], round(pt["latency"], 2))
@@ -68,10 +64,12 @@ def _collect_panel(report, bundle: SeriesBundle):
                     pt["saturated"],
                 ]
             )
-            if pt["saturated"] and sat_load is None:
-                sat_load = pt["load"]
-        saturation[name] = sat_load if sat_load is not None else 1.0
-    return rows, saturation
+    result.add_bundle(bundle)
+    result.add_table(
+        ["protocol", "offered load", "latency [cyc]", "accepted", "saturated"], rows
+    )
+    claims.note(result, "fig6", RowTable.from_rows(report.rows))
+    return result
 
 
 def _loads(scale: Scale, pattern: str) -> list[float]:
@@ -195,18 +193,7 @@ def run_paper(
         f"networks: SF q={q} (N=23750), DF h={h} (N=26406), "
         f"FT-3 p={p} (N=24389) — full §V sizes, flow-level fidelity"
     )
-    bundle = SeriesBundle(
-        title=f"Fig 6 paper scale ({pattern})",
-        xlabel="offered load",
-        ylabel="latency [cycles]",
-    )
-    rows, saturation = _collect_panel(report, bundle)
-    result.add_bundle(bundle)
-    result.add_table(
-        ["protocol", "offered load", "latency [cyc]", "accepted", "saturated"], rows
-    )
-    _shape_notes(result, bundle, saturation, pattern)
-    return result
+    return _collect_panel(result, report, f"Fig 6 paper scale ({pattern})")
 
 
 def run(
@@ -234,48 +221,5 @@ def run(
         f"networks: SF N={sf.num_endpoints}, DF N={df.num_endpoints}, "
         f"FT-3 N={ft.num_endpoints} (balanced variants, §V)"
     )
-    bundle = SeriesBundle(
-        title=f"Fig 6 ({pattern})",
-        xlabel="offered load",
-        ylabel="latency [cycles]",
-    )
-    rows, saturation = _collect_panel(report, bundle)
-    result.add_bundle(bundle)
-    result.add_table(
-        ["protocol", "offered load", "latency [cyc]", "accepted", "saturated"], rows
-    )
+    return _collect_panel(result, report, f"Fig 6 ({pattern})")
 
-    _shape_notes(result, bundle, saturation, pattern)
-    return result
-
-
-def _shape_notes(result, bundle, saturation, pattern) -> None:
-    """Check the headline claims for the pattern at hand."""
-    def zero_load(name: str) -> float:
-        try:
-            s = bundle.get(name)
-            return s.y[0] if s.y else float("inf")
-        except KeyError:
-            return float("inf")
-
-    if pattern == "uniform":
-        if zero_load("SF-MIN") <= min(zero_load("DF-UGAL-L"), zero_load("FT-ANCA")):
-            result.note("shape holds: SF has the lowest low-load latency (D=2)")
-        if saturation.get("SF-VAL", 1.0) <= 0.55:
-            result.note(
-                f"shape holds: VAL saturates at {saturation['SF-VAL']:.2f} (< 50-55%)"
-            )
-        if saturation.get("SF-MIN", 0) >= saturation.get("SF-VAL", 1):
-            result.note("shape holds: MIN outlives VAL on uniform traffic")
-    if pattern == "worstcase":
-        sf_min = saturation.get("SF-MIN", 1.0)
-        sf_ugal = saturation.get("SF-UGAL-L", 1.0)
-        if sf_min < sf_ugal:
-            result.note(
-                f"shape holds: worst-case MIN collapses at {sf_min:.2f} while "
-                f"UGAL-L sustains {sf_ugal:.2f} (paper: ~1/(p+1) vs ~45%)"
-            )
-        ft = saturation.get("FT-ANCA", 1.0)
-        if ft >= sf_ugal:
-            result.note("shape holds: full-bandwidth FT-3 sustains the highest "
-                        "worst-case load")

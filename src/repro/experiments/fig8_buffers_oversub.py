@@ -8,17 +8,15 @@ Slim Fly concentration — with :func:`run_buffers`/:func:`run_oversub`
 as thin wrappers rendering the legacy rows.
 
 - **Fig 8a**: worst-case traffic under UGAL-L with input buffers of
-  8..256 flits/port.  Target shape: smaller buffers give lower latency
-  near saturation (stiffer backpressure), larger buffers higher
-  bandwidth.
+  8..256 flits/port; notes the ``buffers`` claims' verdicts.
 - **Fig 8b–e**: oversubscribed Slim Flies (p above the balanced
-  concentration) under uniform and worst-case traffic.  Target shape:
-  graceful degradation — the paper's q=19 network accepts ~87.5%
-  (balanced p=15), ~80% (p=16), ~75% (p=18) of uniform traffic.
+  concentration) under uniform traffic; notes the ``oversub`` claim's.
 """
 
 from __future__ import annotations
 
+from repro.analysis import claims
+from repro.analysis.frames import RowTable
 from repro.core.balance import balanced_concentration, saturation_load_estimate
 from repro.experiments.common import (
     TRIO_SHAPES,
@@ -36,8 +34,6 @@ from repro.scenarios import (
     rows_by_label,
     run_campaign,
 )
-from repro.sim.stats import LoadPoint
-from repro.sim.sweep import max_accepted
 from repro.topologies import SlimFly
 from repro.util.series import SeriesBundle
 
@@ -47,17 +43,6 @@ BUFFER_SIZES = (8, 16, 32, 64, 128, 256)
 def _sf_q(scale: Scale) -> int:
     # The §V comparison Slim Fly — same instance fig6 sweeps.
     return TRIO_SHAPES[scale][0]
-
-
-def _points(rows: list[dict]) -> list[LoadPoint]:
-    """Campaign rows back into LoadPoint tuples for rendering."""
-    return [
-        LoadPoint(
-            load=r["load"], latency=r["latency"], accepted=r["accepted"],
-            saturated=r["saturated"],
-        )
-        for r in rows
-    ]
 
 
 def campaign_buffers(scale=Scale.DEFAULT, seed: int = 0, buffers=None) -> Campaign:
@@ -96,27 +81,18 @@ def run_buffers(
         title="Fig 8a", xlabel="offered load", ylabel="latency [cycles]"
     )
     rows = []
-    near_sat: dict[int, float] = {}
     for srows in rows_by_label(report).values():
         buf = srows[0]["spec"]["sim"]["buffer_per_port"]
         series = bundle.new(f"{buf} flits")
-        for pt in _points(srows):
-            if pt.latency is not None:
-                series.append(pt.load, round(pt.latency, 2))
-                near_sat[buf] = pt.latency
-            rows.append([buf, pt.load,
-                         round(pt.latency, 1) if pt.latency is not None else None,
-                         pt.saturated])
+        for r in srows:
+            if r["latency"] is not None:
+                series.append(r["load"], round(r["latency"], 2))
+            rows.append([buf, r["load"],
+                         round(r["latency"], 1) if r["latency"] is not None else None,
+                         r["saturated"]])
     result.add_bundle(bundle)
     result.add_table(["buffer [flits]", "offered load", "latency", "saturated"], rows)
-
-    if len(near_sat) >= 2:
-        small, large = min(near_sat), max(near_sat)
-        if near_sat[small] <= near_sat[large]:
-            result.note(
-                "shape holds: smaller buffers yield lower latency at the "
-                "highest sustained load (stiffer backpressure, §V-D)"
-            )
+    claims.note(result, "buffers", RowTable.from_rows(report.rows))
     return result
 
 
@@ -150,7 +126,7 @@ def run_oversub(
 ) -> ExperimentResult:
     scale = Scale.coerce(scale)
     camp = campaign_oversub(scale, seed=seed, extra_ps=extra_ps)
-    report = run_campaign(camp, workers=workers)
+    table = RowTable.from_rows(run_campaign(camp, workers=workers).rows)
     q = _sf_q(scale)
     base_topo = resolve_topology(TopologySpec("SF", params={"q": q}))
     p_bal = balanced_concentration(base_topo.num_routers, base_topo.network_radix)
@@ -159,24 +135,14 @@ def run_oversub(
         "fig8-oversub", f"Oversubscribed Slim Fly (q={q}, balanced p={p_bal})"
     )
     rows = []
-    accepted_by_p: dict[int, float] = {}
-    for srows in rows_by_label(report).values():
-        p = srows[0]["spec"]["topology"]["params"]["concentration"]
-        sf: SlimFly = resolve_topology(
-            TopologySpec.from_dict(srows[0]["spec"]["topology"])
-        )
-        acc = max_accepted(_points(srows))
-        accepted_by_p[p] = acc
+    for c in table.curves():
+        p = c.spec["topology"]["params"]["concentration"]
+        sf: SlimFly = resolve_topology(TopologySpec.from_dict(c.spec["topology"]))
+        acc = c.peak_accepted or 0.0
         est = saturation_load_estimate(sf.num_routers, sf.network_radix, p)
         rows.append([p, sf.num_endpoints, round(acc, 3), round(est, 3)])
     result.add_table(
         ["p", "N", "max accepted (uniform, MIN)", "analytic estimate"], rows
     )
-
-    vals = [accepted_by_p[p] for p in sorted(accepted_by_p)]
-    if all(vals[i] + 1e-9 >= vals[i + 1] - 0.05 for i in range(len(vals) - 1)):
-        result.note(
-            "shape holds: accepted bandwidth degrades gracefully with "
-            "oversubscription (paper: 87.5% -> 80% -> 75%)"
-        )
+    claims.note(result, "oversub", table)
     return result

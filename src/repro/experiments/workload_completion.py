@@ -18,16 +18,12 @@ delivered bandwidth.  ``--workload`` picks the communication pattern
 batches the scenarios across ``--workers`` through
 :func:`repro.sim.parallel.parallel_workload_completion` with
 bit-identical results for any worker count.
-
-Reproduction-adjacent expectations (noted when they hold): Slim Fly's
-diameter 2 gives MIN the lowest completion on latency-bound trees
-(broadcast/gather); the full-bisection fat tree is hardest to beat on
-the bandwidth-bound all-to-all; adaptive routing should not lose to
-VAL anywhere.
 """
 
 from __future__ import annotations
 
+from repro.analysis import claims
+from repro.analysis.frames import RowTable
 from repro.experiments.common import (
     ExperimentResult,
     Scale,
@@ -125,7 +121,6 @@ def run(
         return round(value, digits) if value is not None else None
 
     rows = []
-    completion: dict[tuple[str, str], float] = {}
     for row in report.rows:
         name, kind = row["label"].split("/")
         rows.append(
@@ -141,7 +136,6 @@ def run(
                 row["finished"],
             ]
         )
-        completion[(kind, name)] = row["makespan"] if row["finished"] else float("inf")
     out.add_table(
         [
             "workload", "protocol", "messages", "flits",
@@ -150,27 +144,5 @@ def run(
         ],
         rows,
     )
-    _shape_notes(out, kinds, completion)
+    claims.note(out, "workload", RowTable.from_rows(report.rows))
     return out
-
-
-def _shape_notes(out: ExperimentResult, kinds, completion) -> None:
-    for kind in kinds:
-        c = {name: completion.get((kind, name), float("inf"))
-             for name in ("SF-MIN", "SF-VAL", "SF-UGAL-L", "DF-UGAL-L", "FT-ANCA")}
-        if any(v == float("inf") for v in c.values()):
-            unfinished = [k for k, v in c.items() if v == float("inf")]
-            out.note(f"{kind}: {', '.join(unfinished)} hit the cycle cap")
-            continue
-        best = min(c, key=c.get)
-        out.note(f"{kind}: fastest completion {best} at {c[best]} cycles")
-        if kind in ("broadcast", "gather") and c["SF-MIN"] <= min(
-            c["DF-UGAL-L"], c["FT-ANCA"]
-        ):
-            out.note(
-                f"shape holds: diameter-2 SF-MIN wins the latency-bound {kind} tree"
-            )
-        if c["SF-UGAL-L"] <= c["SF-VAL"]:
-            out.note(
-                f"shape holds: adaptive UGAL-L never loses to oblivious VAL ({kind})"
-            )

@@ -95,6 +95,28 @@ def _string(data: dict, key: str, where: str, default=None) -> str:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(data: dict, key: str, where: str, default, nullable=False):
+    """``data[key]`` when it is an integer (``None`` too if ``nullable``),
+    else a ValueError naming the field."""
+    value = data.get(key, default)
+    if not (_is_int(value) or (nullable and value is None)):
+        raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list(data: dict, key: str, where: str, item, what: str) -> list:
+    """``data[key]`` (absent or null: empty) when it is a list of ``what``
+    (each element passes ``item``), else a ValueError naming the field."""
+    value = data.get(key) or []
+    if not (isinstance(value, list) and all(map(item, value))):
+        raise ValueError(f"{where}.{key} must be a list of {what}, got {value!r}")
+    return value
+
+
 def _params(data: dict, where: str) -> dict:
     """A copy of ``data["params"]`` (absent or null: empty)."""
     return dict(_object(data.get("params") or {}, f"{where}.params"))
@@ -256,14 +278,11 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
         _object(data, "workload")
-        ranks = data.get("ranks")
-        if not isinstance(ranks, int) or isinstance(ranks, bool):
-            raise ValueError(f"workload.ranks must be an integer, got {ranks!r}")
         return cls(
             kind=_string(data, "kind", "workload"),
-            ranks=ranks,
-            size_flits=data.get("size_flits", 16),
-            iterations=data.get("iterations", 2),
+            ranks=_integer(data, "ranks", "workload", None),
+            size_flits=_integer(data, "size_flits", "workload", 16),
+            iterations=_integer(data, "iterations", "workload", 2),
             placement=data.get("placement", "spread"),
         )
 
@@ -341,12 +360,17 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
         _object(data, "fault")
+        cut_links = _list(
+            data, "cut_links", "fault",
+            lambda p: isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_int, p)),
+            "[router, router] pairs",
+        )
         return cls(
             link_fraction=data.get("link_fraction", 0.0),
             router_fraction=data.get("router_fraction", 0.0),
             seed=data.get("seed"),
-            cut_links=[tuple(p) for p in data.get("cut_links") or []],
-            cut_routers=list(data.get("cut_routers") or []),
+            cut_links=[tuple(p) for p in cut_links],
+            cut_routers=list(_list(data, "cut_routers", "fault", _is_int, "router ids")),
         )
 
 
@@ -567,6 +591,8 @@ class Scenario:
         missing = [key for key in ("topology", "routing", "sim") if key not in data]
         if missing:
             raise ValueError(f"scenario is missing {', '.join(map(repr, missing))}")
+        loads = _list(data, "loads", "scenario",
+                      lambda x: _is_int(x) or isinstance(x, float), "numbers")
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             routing=RoutingSpec.from_dict(data["routing"]),
@@ -579,11 +605,13 @@ class Scenario:
                 if data.get("workload")
                 else None
             ),
-            loads=list(data.get("loads") or []),
-            replicas=data.get("replicas", 1),
-            stop_after_saturation=data.get("stop_after_saturation", 1),
-            max_cycles=data.get("max_cycles"),
-            label=data.get("label", ""),
+            loads=list(loads),
+            replicas=_integer(data, "replicas", "scenario", 1),
+            stop_after_saturation=_integer(
+                data, "stop_after_saturation", "scenario", 1
+            ),
+            max_cycles=_integer(data, "max_cycles", "scenario", None, nullable=True),
+            label=_string(data, "label", "scenario", ""),
             backend=_string(data, "backend", "scenario", "cycle"),
             telemetry=(
                 TelemetrySpec.from_dict(data["telemetry"])

@@ -59,10 +59,13 @@ class TestBisection:
         bb = bisection_bandwidth(adj, link_bandwidth_gbps=1.0, tries=3, seed=0)
         assert bb == pytest.approx(1.0)
 
-    def test_slimfly_bisection_band(self, sf5):
-        """SF q=5 cut should be high (expander-like), well above N/4 links."""
-        bb = bisection_bandwidth(sf5.adjacency, link_bandwidth_gbps=1.0, seed=0)
-        assert bb >= sf5.num_endpoints / 4
+    def test_slimfly_bisection_band(self, sf5, sf7):
+        """SF q=5 and q=7 cuts should be high (expander-like), well above
+        N/4 links."""
+        for sf, tries in ((sf5, 2), (sf7, 1)):
+            bb = bisection_bandwidth(sf.adjacency, link_bandwidth_gbps=1.0,
+                                     tries=tries, seed=0)
+            assert bb >= sf.num_endpoints / 4
 
 
 class TestResiliency:

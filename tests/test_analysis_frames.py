@@ -11,6 +11,7 @@ from repro.analysis.frames import (
     Curve,
     MetricsTable,
     RowTable,
+    fault_sweeps,
     mean_ci,
     provenance,
     saturation_point,
@@ -287,6 +288,25 @@ class TestAggregation:
         c = Curve("l", "h", [0.1, 0.5], [10.0, 12.0],
                   [0.1, 0.5], [False, False], {})
         assert saturation_point(c) is None
+
+    def test_low_load_latency_and_peak_accepted(self):
+        c = Curve("l", "h", [0.1, 0.5, 0.9], [None, 12.0, 30.0],
+                  [0.1, 0.5, 0.45], [False, False, True], {})
+        assert (c.low_load_latency, c.peak_accepted) == (12.0, 0.5)
+        gone = Curve("l", "h", [0.1], [None], [None], [False], {})
+        assert (gone.low_load_latency, gone.peak_accepted) == (None, None)
+
+    def test_fault_sweeps_group_by_protocol_and_fraction(self):
+        def sweep(label, frac):
+            fault = {"link_fraction": frac} if frac else None
+            return make_row(label=label, scenario=label, spec={"fault": fault})
+
+        table = RowTable.from_rows([
+            sweep("MIN/f=0.1", 0.1), sweep("MIN/f=0", 0.0), sweep("VAL/f=0.05", 0.05),
+        ])
+        got = {p: [(f, c.label) for f, c in s] for p, s in fault_sweeps(table).items()}
+        assert got == {"MIN": [(0.0, "MIN/f=0"), (0.1, "MIN/f=0.1")],
+                       "VAL": [(0.05, "VAL/f=0.05")]}
 
 
 class TestProvenance:

@@ -151,6 +151,10 @@ class TestTable4:
         saving = 1 - sf.cost_per_node / comparable_df.cost_per_node
         assert 0.10 <= saving <= 0.40  # paper: ≈25%
 
+    def test_sf_cheapest(self, rows):
+        sf = next(r for r in rows if r.counts.name == "SF")
+        assert all(sf.cost_per_node <= r.cost_per_node for r in rows)
+
     def test_sf_lowest_power(self, rows):
         sf = next(r for r in rows if r.counts.name == "SF")
         for r in rows:

@@ -16,6 +16,7 @@ import pytest
 PUBLIC_MODULES = [
     "repro",
     "repro.analysis",
+    "repro.analysis.claims",
     "repro.analysis.frames",
     "repro.analysis.figures",
     "repro.analysis.report",

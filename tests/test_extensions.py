@@ -149,8 +149,9 @@ class TestFaults:
 
 class TestAnalyticalModel:
     def test_zero_load_latency(self):
-        # 2 hops × 4 cycles + inject + eject = 10.
-        assert zero_load_latency(2.0) == pytest.approx(10.0)
+        # 2 hops × 4 cycles (channel, SA, VC, crossbar) + 1 cycle for
+        # the 1-flit packet = 9.
+        assert zero_load_latency(2.0) == pytest.approx(9.0)
 
     def test_estimate_matches_simulation_zero_load(self, sf5, sf5_tables):
         from repro.routing import MinimalRouting
@@ -158,11 +159,17 @@ class TestAnalyticalModel:
         from repro.traffic import UniformRandom
 
         est = estimate(sf5, "min")
+        # Endpoint pairs: 3 same-router, 28 one hop, 168 two hops of 199.
+        assert est.average_hops == pytest.approx(364 / 199)
+        assert est.zero_load_latency_cycles == pytest.approx(4 * 364 / 199 + 1)
         cfg = SimConfig(warmup_cycles=150, measure_cycles=300, drain_cycles=1200)
         res = simulate(sf5, MinimalRouting(sf5_tables), UniformRandom(200), 0.05, cfg)
-        assert res.avg_latency == pytest.approx(est.zero_load_latency_cycles, rel=0.25)
+        assert res.avg_latency == pytest.approx(est.zero_load_latency_cycles, rel=0.02)
 
     def test_saturation_ordering(self, sf5):
+        # One hop average throughout: the defaults agree with estimate().
+        assert uniform_saturation_load(sf5) == estimate(sf5, "min").saturation_load
+        assert valiant_saturation_load(sf5) == estimate(sf5, "val").saturation_load
         assert valiant_saturation_load(sf5) < uniform_saturation_load(sf5)
 
     def test_sf_balanced_saturation_near_90pct(self):

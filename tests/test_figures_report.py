@@ -415,7 +415,11 @@ class TestBuildReport:
             assert artifact.workers == 1
         text = result.report_path.read_text()
         assert "![tiny-latency](figures/tiny-latency.svg)" in text
-        assert "Paper expectation" in text and "Provenance" in text
+        # The verdict table opens the report; each figure says which
+        # claims read its rows (none for this user-defined campaign).
+        assert text.index("## Paper claims") < text.index("## Contents")
+        assert "**Paper claims.** None read these rows." in text
+        assert "Provenance" in text
         # Every scenario hash from the rows is pinned in the report.
         for line in tiny_rows.read_text().splitlines():
             assert json.loads(line)["scenario"] in text

@@ -12,7 +12,7 @@ from repro.galois.primitive import (
     primitive_elements,
 )
 
-FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
+FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49]
 
 
 @pytest.fixture(scope="module", params=FIELD_ORDERS)

@@ -38,8 +38,9 @@ class TestTables:
         assert (t.dist == t.dist.T).all()
         assert (t.dist.diagonal() == 0).all()
 
-    def test_sf_max_distance_two(self, sf5_tables):
+    def test_sf_max_distance_two(self, sf5_tables, sf7):
         assert sf5_tables.diameter() == 2
+        assert RoutingTables(sf7.adjacency).diameter() == 2
 
     def test_next_hop_candidates_shrink_distance(self, sf5_tables):
         t = sf5_tables

@@ -240,6 +240,54 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"sim.{field}"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "make, path, value, field",
+        [
+            # Each once ended in a TypeError traceback ...
+            (open_scenario, ("loads",), 5, "scenario.loads"),
+            (open_scenario, ("loads",), [0.1, None], "scenario.loads"),
+            (open_scenario, ("replicas",), "x", "scenario.replicas"),
+            (open_scenario, ("stop_after_saturation",), None,
+             "scenario.stop_after_saturation"),
+            (open_scenario, ("fault",), {"cut_links": 5}, "fault.cut_links"),
+            (open_scenario, ("fault",), {"cut_links": [5]}, "fault.cut_links"),
+            (open_scenario, ("fault",), {"cut_routers": 3}, "fault.cut_routers"),
+            # ... or was accepted into the spec and its hash.
+            (open_scenario, ("label",), 5, "scenario.label"),
+            (closed_scenario, ("workload", "size_flits"), "x",
+             "workload.size_flits"),
+            (closed_scenario, ("workload", "iterations"), None,
+             "workload.iterations"),
+            (closed_scenario, ("max_cycles",), "10", "scenario.max_cycles"),
+        ],
+    )
+    def test_ill_typed_scalar_axes_rejected(self, make, path, value, field):
+        data = make().to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_dict(data)
+
+    def test_builder_scenarios_validate_with_unchanged_hashes(self):
+        from repro.analysis.report import default_campaigns
+        from repro.experiments import (
+            fault_degradation,
+            fig6_performance,
+            workload_completion,
+        )
+
+        campaigns = default_campaigns("quick") + [
+            fig6_performance.campaign("quick", pattern="worstcase"),
+            fig6_performance.paper_campaign("quick", pattern="worstcase"),
+            workload_completion.campaign("quick", workload="all"),
+            fault_degradation.campaign("quick"),
+        ]
+        for campaign in campaigns:
+            for s in campaign.scenarios:
+                assert Scenario.from_dict(s.to_dict()).hash() == s.hash()
+
     def test_sim_block_unknown_key_rejected(self):
         data = open_scenario().to_dict()
         data["sim"]["voltage"] = 1

@@ -11,17 +11,21 @@ from repro.routing import (
     UGALRouting,
     ValiantRouting,
 )
+from repro.experiments.common import Scale, sim_config_for
 from repro.sim import SimConfig, simulate
 from repro.traffic import (
     BitReversalPattern,
     DragonflyWorstCase,
     FatTreeWorstCase,
+    ShiftPattern,
     ShufflePattern,
     SlimFlyWorstCase,
     UniformRandom,
 )
 
 CFG = SimConfig(warmup_cycles=120, measure_cycles=350, drain_cycles=1800, seed=9)
+#: The Fig 6 experiments' quick-scale windows.
+QUICK = sim_config_for(Scale.QUICK)
 
 
 class TestDragonflySim:
@@ -114,9 +118,19 @@ class TestHeadlineComparisons:
 
 
 class TestPermutationPatternsThroughSim:
-    @pytest.mark.parametrize("pattern_cls", [ShufflePattern, BitReversalPattern])
-    def test_bit_patterns_deliver(self, sf5, sf5_tables, pattern_cls):
-        tr = pattern_cls(sf5.num_endpoints)  # 128 active of 200
-        res = simulate(sf5, UGALRouting(sf5_tables, "local", seed=4), tr, 0.25, CFG)
+    @pytest.mark.parametrize(
+        "pattern_cls, seed, cfg",
+        [
+            pytest.param(ShufflePattern, 4, CFG, id="ShufflePattern"),
+            pytest.param(BitReversalPattern, 4, CFG, id="BitReversalPattern"),
+            # The Fig 6b and 6c points at quick scale: SF q=5, UGAL-L.
+            pytest.param(BitReversalPattern, 0, QUICK, id="fig6b-quick"),
+            pytest.param(ShiftPattern, 0, QUICK, id="fig6c-quick"),
+        ],
+    )
+    def test_bit_patterns_deliver(self, sf5, sf5_tables, pattern_cls, seed, cfg):
+        tr = pattern_cls(sf5.num_endpoints)  # bit patterns: 128 active of 200
+        res = simulate(sf5, UGALRouting(sf5_tables, "local", seed=seed), tr, 0.25, cfg)
         assert res.delivered == res.injected
         assert res.delivered > 0
+        assert not res.saturated

@@ -4,6 +4,7 @@ experiment (the ISSUE 2 acceptance criteria)."""
 
 import pytest
 
+from repro.analysis import claims
 from repro.experiments.common import Scale
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.routing import ANCARouting, MinimalRouting, UGALRouting, ValiantRouting
@@ -181,8 +182,14 @@ class TestCompletionExperiment:
             "workload_completion", Scale.QUICK, seed=0,
             workload="broadcast", workers=2, ranks=12, message_flits=4,
         )
-        rendered = result.render()
-        assert "SHAPE VIOLATION" not in rendered
+        assert {
+            v.claim.id: v.status
+            for v in map(claims.parse, result.notes) if v is not None
+        } == {
+            "workload.sf-min-trees": claims.REPRODUCED,
+            "workload.ugal-beats-val": claims.REPRODUCED,
+            "workload.ft-alltoall": claims.UNTESTED,  # broadcast only
+        }
         headers, rows = result.tables[0]
         assert len(rows) == 5  # SF-MIN/VAL/UGAL-L, DF-UGAL-L, FT-ANCA
         assert all(row[-1] for row in rows)  # every protocol finished
