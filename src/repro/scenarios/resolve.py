@@ -139,8 +139,10 @@ def _unroutable(scenario: Scenario):
 
 #: Router count from which cycle-fidelity scenarios execute on the
 #: batched ``cycle-vec`` engine by default (Slim Fly q=7 -> 2q^2 = 98
-#: routers: the scale where the batched phases clearly out-amortise
-#: their per-cycle numpy dispatch overhead, per BENCH_sim.json).
+#: routers).  The micro-benchmark record cited for it measured SF MIN
+#: at load 0.6 only at q=5 (50 routers: cycle-vec ~2.0x the flat
+#: engine) and q=11 (242 routers: ~6.6x); q=7 itself was never
+#: measured.  A per-routing rule from a measured matrix is to replace it.
 _VEC_DEFAULT_ROUTERS = 98
 
 

@@ -510,11 +510,13 @@ def _run_open(resolved, workers: int) -> list[LoadPoint]:
     )
 
 
-def _heartbeat(report: CampaignReport, progress: bool, **fields) -> None:
+def _heartbeat(report: CampaignReport, progress: bool, /, **fields) -> None:
     """Record one heartbeat event; echo it to stderr under --progress.
 
     Events go to stderr (one canonical-JSON object per line) so a
     campaign's stdout/file outputs stay untouched by observability.
+    ``report`` and ``progress`` are positional-only, so an event that
+    a service worker forwards may carry fields of those names.
     """
     report.events.append(fields)
     if progress:
@@ -677,15 +679,12 @@ def run_campaign(
             source=source,
         )
 
-    def _record_simulated(
-        k: int, payload: list[dict], metrics_payload: list[dict]
-    ) -> None:
-        """Emit scenario ``k``'s freshly produced payload rows.
+    def _record_simulated(entry: StoreEntry) -> None:
+        """Emit a freshly simulated scenario's entry.
 
-        Each row is encoded exactly once, into the entry that both the
-        JSONL line and the store are written from.
+        Each row was encoded exactly once, into this entry, which both
+        the JSONL line and the store are written from.
         """
-        entry = StoreEntry(hashes[k], payload, metrics_payload)
         report.simulated += 1
         _emit(entry)
         if store is not None:
@@ -765,10 +764,10 @@ def _run_units(
             replay_cached(next_idx)
             next_idx += 1
 
-    def on_scenario(k: int, payload: dict) -> None:
+    def on_scenario(k: int, entry) -> None:
         nonlocal next_idx
         emit_cached_until(k)
-        record_simulated(k, payload["rows"], payload.get("metrics", []))
+        record_simulated(entry)
         next_idx = k + 1
 
     def heartbeat(**fields) -> None:
@@ -784,7 +783,8 @@ def _run_units(
         )
         coordinator.execute(units, on_scenario)
     else:
-        # Lazy import: the unit layer builds its rows with this module.
+        # Lazy imports: the unit layer builds its rows with this module.
+        from repro.service.store import StoreEntry
         from repro.service.units import UnitEntry, execute_unit
 
         for kind, indices in units:
@@ -793,8 +793,8 @@ def _run_units(
             payloads, _ = execute_unit(
                 campaign.name, kind, entries, workers, heartbeat=heartbeat
             )
-            for k, payload in zip(indices, payloads):
-                on_scenario(k, payload)
+            for k, p in zip(indices, payloads):
+                on_scenario(k, StoreEntry(p["scenario"], p["rows"], p["metrics"]))
     emit_cached_until(len(scenarios))
 
 

@@ -16,7 +16,10 @@ Robustness contract:
 - an optional ``lease_timeout`` bounds any single unit's wall-clock on
   one worker;
 - a failed unit is retried on a *different* worker when one exists,
-  at most ``max_retries`` times, then executed in-process;
+  at most ``max_retries`` times, then executed in-process; a result
+  whose payloads do not validate as the leased scenarios' store
+  entries counts as a failure (``bad_result``), so a worker's answer
+  never writes a row it did not earn;
 - if no worker connects within ``wait_for_workers`` seconds the whole
   campaign degrades to in-process execution, one unit at a time, while
   the socket stays open for late joiners.
@@ -35,8 +38,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.scenarios.spec import Scenario
+from repro.scenarios.spec import Scenario, scenario_hash
 from repro.service.protocol import FrameDecoder, ProtocolError, send_message
+from repro.service.store import StoreEntry, StoreIntegrityError
 from repro.service.units import UnitEntry, execute_unit, to_wire
 from repro.sim.parallel import credit_simulations
 
@@ -123,12 +127,12 @@ class Coordinator:
         self._lease_seq = 0
 
     def execute(self, units, on_scenario) -> None:
-        """Run the units; invoke ``on_scenario(index, payload)`` in order.
+        """Run the units; invoke ``on_scenario(index, entry)`` in order.
 
         ``units`` is :func:`~repro.scenarios.runner.partition_units`
         output.  ``on_scenario`` fires exactly once per pending
         scenario, in strictly increasing campaign-index order, with the
-        ``{"scenario", "rows", "metrics"}`` payload dict — regardless
+        scenario's :class:`~repro.service.store.StoreEntry` — regardless
         of which worker (or this process) produced it, and regardless
         of completion order.
         """
@@ -173,8 +177,8 @@ class Coordinator:
                     # joiners.
                     self._run_unit_locally(self._queue.popleft(), "no_workers")
                 while next_uid < len(self._units) and next_uid in self._results:
-                    for k, payload in self._results.pop(next_uid):
-                        on_scenario(k, payload)
+                    for k, entry in self._results.pop(next_uid):
+                        on_scenario(k, entry)
                     next_uid += 1
         finally:
             for worker in list(self._workers.values()):
@@ -348,15 +352,12 @@ class Coordinator:
                 return  # stale: this lease was re-queued already
             unit = self._units[worker.unit_uid]
             worker.lease = None
-            payloads = message.get("results")
-            if (
-                not isinstance(payloads, list)
-                or len(payloads) != len(unit.indices)
-            ):
+            entries = self._result_entries(unit, message)
+            if entries is None:
                 self._retry_unit(unit, worker.name, "bad_result")
                 return
-            credit_simulations(int(message.get("sims", 0) or 0))
-            self._results[unit.uid] = list(zip(unit.indices, payloads))
+            credit_simulations(message["sims"])
+            self._results[unit.uid] = list(zip(unit.indices, entries))
         elif kind == "error":
             if message.get("lease") != worker.lease or worker.lease is None:
                 return
@@ -366,6 +367,44 @@ class Coordinator:
                 unit, worker.name, f"worker_error: {message.get('error')}"
             )
         # Unknown types are ignored (forward compatibility).
+
+    def _result_entries(self, unit, message: dict) -> list[StoreEntry] | None:
+        """A result message's payloads as validated entries, or None.
+
+        A worker's answer is untrusted input.  ``sims`` must be a
+        non-negative int, and each payload a dict carrying its leased
+        scenario's hash, with exactly that scenario's number of rows,
+        which must pass :meth:`StoreEntry.validate`.  Each row is
+        encoded here, once, into the entry the runner writes from.
+        """
+        sims, payloads = message.get("sims"), message.get("results")
+        if (
+            type(sims) is not int
+            or sims < 0
+            or not isinstance(payloads, list)
+            or len(payloads) != len(unit.indices)
+        ):
+            return None
+        entries = []
+        for k, payload in zip(unit.indices, payloads):
+            if not isinstance(payload, dict):
+                return None
+            h = scenario_hash(self.scenarios[k])
+            rows, metrics = payload.get("rows"), payload.get("metrics")
+            if (
+                payload.get("scenario") != h
+                or not isinstance(rows, list)
+                or not isinstance(metrics, list)
+                or len(rows) != self.scenarios[k].num_rows
+            ):
+                return None
+            try:
+                entry = StoreEntry(h, rows, metrics)
+                entry.validate()
+            except (StoreIntegrityError, RecursionError):
+                return None
+            entries.append(entry)
+        return entries
 
     # -- local fallback ------------------------------------------------
 
@@ -378,4 +417,7 @@ class Coordinator:
             self.campaign, unit.kind, entries,
             workers=self.local_workers, heartbeat=self._heartbeat,
         )
-        self._results[unit.uid] = list(zip(unit.indices, payloads))
+        self._results[unit.uid] = [
+            (k, StoreEntry(p["scenario"], p["rows"], p["metrics"]))
+            for k, p in zip(unit.indices, payloads)
+        ]

@@ -9,9 +9,9 @@ Blocking peers use :func:`send_message` / :func:`recv_message`; the
 single-threaded coordinator feeds whatever bytes ``recv`` returned
 into a per-connection :class:`FrameDecoder` and handles the complete
 messages it yields.  Anything malformed — oversized frame, truncated
-frame, non-JSON payload, non-object message — raises
-:class:`ProtocolError`; the coordinator answers that by dropping the
-connection and re-leasing the work, never by guessing.
+frame, non-JSON or too deeply nested payload, non-object message —
+raises :class:`ProtocolError`; the coordinator answers that by
+dropping the connection and re-leasing the work, never by guessing.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _encode(message: dict) -> bytes:
 def _decode(payload: bytes) -> dict:
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolError(f"frame payload is not JSON: {exc}") from exc
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise ProtocolError("frame payload is not a typed message object")

@@ -6,9 +6,9 @@ shipped with, kept verbatim (modulo renames) as
 - the *oracle* for differential tests: the flat engine in
   :mod:`repro.sim.engine` must reproduce its results bit-for-bit for a
   given seed (see ``tests/test_sim_reference_equivalence.py``), and
-- the *baseline* for the throughput benchmark
-  (``benchmarks/bench_sim_throughput.py``), which tracks the flat
-  engine's speedup over this code.
+- the *baseline* for the speed gate in
+  ``benchmarks/test_speed_gates.py``, which holds the flat engine to
+  at least 3x this code's speed.
 
 Do not optimise or "fix" this module; behavioural changes here
 invalidate both uses.  See DESIGN.md for the architecture notes.

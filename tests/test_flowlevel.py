@@ -400,6 +400,26 @@ class TestFlowModel:
 
         assert rows() == rows()
 
+    def test_q11_sweep_fills_every_load_deterministically(self):
+        """A 10-load MIN sweep at MMS(q=11), 1,452 endpoints, where the
+        cycle engines are slow: one row per load, latency below
+        saturation, identical on a second run."""
+        sf = SlimFly.from_q(11)
+        tables = RoutingTables(sf.adjacency)
+        loads = [round(0.1 * i, 4) for i in range(1, 11)]
+        cfg = SimConfig(warmup_cycles=150, measure_cycles=350, drain_cycles=1200, seed=1)
+
+        def sweep():
+            return flow_sweep(
+                sf, lambda: MinimalRouting(tables),
+                UniformRandom(sf.num_endpoints), loads, cfg,
+            )
+
+        points = sweep()
+        assert len(points) == len(loads)
+        assert any(p.latency is not None for p in points)
+        assert sweep() == points
+
 
 PINNED_SHAPES = {
     "SF-q5": (lambda: SlimFly.from_q(5), ("min", "val", "ugal-l", "ugal-g")),

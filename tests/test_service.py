@@ -41,6 +41,7 @@ from repro.service.store import (
     StoreIntegrityError,
     open_store,
 )
+from repro.service.units import execute_unit, from_wire
 from repro.service.worker import _connect, parse_address, serve_worker
 from repro.sim.parallel import simulations_started
 from repro.sim.telemetry import TelemetrySpec
@@ -436,6 +437,19 @@ class TestProtocol:
             a.close()
             b.close()
 
+    def test_frame_nested_past_the_decoder_is_a_protocol_error(self):
+        frame = struct.pack(">I", 200_000) + b"[" * 200_000
+        with pytest.raises(ProtocolError, match="not JSON"):
+            FrameDecoder().feed(frame)
+        a, b = socket.socketpair()
+        try:
+            a.sendall(frame)
+            with pytest.raises(ProtocolError, match="not JSON"):
+                recv_message(b)
+        finally:
+            a.close()
+            b.close()
+
     def test_decoder_reassembles_byte_dribble(self):
         messages = [
             {"type": "hello", "worker": "w"},
@@ -497,6 +511,28 @@ def service_config(**kw) -> tuple[ServiceConfig, "threading.Event", dict]:
     kw.setdefault("port", 0)
     kw.setdefault("heartbeat_timeout", 5.0)
     return ServiceConfig(on_bound=on_bound, **kw), ready, bound
+
+
+def hostile_frame(case: str, lease: dict) -> bytes:
+    """A fake worker's answer to ``lease``: the true result, spoiled one way."""
+    entries = [from_wire(e) for e in lease["scenarios"]]
+    payloads, sims = execute_unit(lease["campaign"], lease["kind"], entries)
+    message = {"type": "result", "lease": lease["lease"], "results": payloads, "sims": sims}
+    if case == "sims":
+        message["sims"] = "x"
+    elif case == "results":
+        message["results"] = [5]
+    elif case == "rows":
+        payloads[0]["rows"] = [{"bogus": 1}]
+    elif case == "heartbeat":
+        message = {
+            "type": "heartbeat", "lease": lease["lease"],
+            "event": {"event": "scenario_start", "progress": 0.5, "report": "x"},
+        }
+    elif case == "nesting":
+        return struct.pack(">I", 200_000) + b"[" * 200_000
+    payload = json.dumps(message).encode()
+    return struct.pack(">I", len(payload)) + payload
 
 
 def start_thread_workers(ready, bound, count, **kw):
@@ -721,6 +757,45 @@ class TestService:
         t.join(10)
         assert (tmp_path / "svc.jsonl").read_bytes() == serial.read_bytes()
         assert report.simulated == 1  # the real (local) execution, once
+
+    @pytest.mark.parametrize(
+        "case, reason",
+        [
+            ("sims", "bad_result"),
+            ("results", "bad_result"),
+            ("rows", "bad_result"),
+            ("nesting", "protocol_error"),
+            ("heartbeat", "disconnected"),
+        ],
+    )
+    def test_hostile_answer_is_retried_and_writes_no_row(self, tmp_path, case, reason):
+        """A worker that takes its lease, answers it badly and hangs up
+        loses the lease; the unit runs locally instead, and the output
+        is byte-identical to a serial run."""
+        campaign = Campaign("fake", [open_scenario()])
+        serial = tmp_path / "serial.jsonl"
+        run_campaign(campaign, out=serial)
+        cfg, ready, bound = service_config(wait_for_workers=5.0, max_retries=0)
+
+        def fake_worker():
+            assert ready.wait(10)
+            sock = socket.create_connection(parse_address(bound["addr"]), timeout=10)
+            try:
+                send_message(sock, {"type": "hello", "worker": "fake", "pid": 0})
+                sock.sendall(hostile_frame(case, recv_message(sock)))
+            finally:
+                sock.close()
+
+        t = threading.Thread(target=fake_worker, daemon=True)
+        t.start()
+        report = run_campaign(campaign, out=tmp_path / "svc.jsonl", service=cfg)
+        t.join(10)
+        assert (tmp_path / "svc.jsonl").read_bytes() == serial.read_bytes()
+        assert report.simulated == 1
+        fallback = next(
+            e for e in report.events if e["event"] == "unit_local_fallback"
+        )
+        assert fallback["reason"] == reason
 
     def test_service_and_store_compose(self, tmp_path):
         campaign = mixed_campaign()

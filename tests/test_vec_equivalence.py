@@ -43,6 +43,7 @@ from repro.sim import (
     vec_simulate,
     vec_simulate_workload,
 )
+from repro.topologies import SlimFly
 from repro.traffic import ShiftPattern, ShufflePattern, SlimFlyWorstCase, UniformRandom
 from repro.traffic.adversarial import DragonflyWorstCase
 from repro.workloads.registry import make_placed_workload
@@ -276,6 +277,19 @@ class TestClosedLoopEquivalence:
         cfg = SimConfig(seed=11)
         flat = simulate_workload(sf7, make_routing(sf7_tables), wl, cfg)
         vec = vec_simulate_workload(sf7, make_routing(sf7_tables), wl, cfg)
+        _assert_workload_equal(flat, vec)
+
+    def test_alltoall_smoke_q11(self):
+        """q=11 smoke: cycle-vec finishes a small alltoall bit-exact
+        against the flat engine (CI also runs this cell alone under a
+        wall-clock budget)."""
+        sf = SlimFly.from_q(11)
+        tables = RoutingTables(sf.adjacency)
+        wl = make_placed_workload("alltoall", sf, 48, size_flits=8, placement="spread")
+        cfg = SimConfig(seed=1)
+        vec = vec_simulate_workload(sf, MinimalRouting(tables), wl, cfg)
+        flat = simulate_workload(sf, MinimalRouting(tables), wl, cfg)
+        assert vec.finished
         _assert_workload_equal(flat, vec)
 
     def test_ugal_global_workload(self, sf5, sf5_tables):

@@ -18,6 +18,7 @@ from repro.sim import (
 )
 from repro.traffic import UniformRandom
 from repro.workloads import (
+    WORKLOAD_KINDS,
     AllToAll,
     BroadcastTree,
     Message,
@@ -25,6 +26,7 @@ from repro.workloads import (
     TraceWorkload,
     make_workload,
     read_trace,
+    spread_placement,
     write_trace,
 )
 
@@ -57,6 +59,16 @@ class TestClosedLoopBasics:
         a = simulate_workload(sf5, UGALRouting(sf5_tables, "local", seed=3), wl, CFG)
         b = simulate_workload(sf5, UGALRouting(sf5_tables, "local", seed=3), wl, CFG)
         assert a == b
+
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    def test_every_kind_completes_reproducibly(self, sf5, sf5_tables, kind):
+        """24 ranks spread over routers, 8-flit messages: every kind
+        finishes, and a second run replays the same schedule."""
+        wl = make_workload(kind, 24, 8, endpoints=spread_placement(sf5, 24))
+        cfg = SimConfig(seed=1)
+        res = simulate_workload(sf5, MinimalRouting(sf5_tables), wl, cfg)
+        assert res.finished
+        assert simulate_workload(sf5, MinimalRouting(sf5_tables), wl, cfg) == res
 
     def test_multiflit_segmentation(self, sf5, sf5_tables):
         """A 10-flit message under 4-flit packets is 3 packets; the
