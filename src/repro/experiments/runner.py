@@ -11,6 +11,13 @@
     python -m repro.experiments report --out report/ --workers 4
     python -m repro.experiments report rows.jsonl --out report/
 
+Each command takes only its own flags, and ``<command> --help`` lists
+them.  Every experiment takes ``--scale``, ``--seed`` and ``--json``
+plus the options its :data:`EXPERIMENTS` entry declares; ``all`` takes
+the union of its members' options and hands each one only to the
+members that declare it.  A flag the command does not take is a usage
+error (exit 2), never silently ignored.
+
 The ``report`` subcommand is the last mile: it consumes campaign JSONL
 files (or, with none given, runs the standard figure-set campaigns
 into ``<out>/data/`` with resume semantics) plus the analytic
@@ -28,6 +35,7 @@ ever simulated twice, on any machine that shares the store.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -36,108 +44,142 @@ from pathlib import Path
 from repro.experiments.common import Scale
 
 
-def _lazy(modname: str, attr: str = "run", **fixed):
+class _lazy:
     """Deferred-import experiment entry with pre-bound keyword args.
 
     ``fixed`` is how figure variants are registered as plain campaign
     parameters (``pattern="uniform"``, ``what="cost"``) instead of
-    bespoke wrapper closures; caller kwargs win on conflict.
+    bespoke wrapper closures; caller kwargs win on conflict.  Nothing
+    is imported until the entry runs, so parsing loads no figure module.
     """
 
-    def run(**kw):
-        import importlib
+    def __init__(self, modname: str, attr: str = "run", **fixed):
+        self.modname, self.attr, self.fixed = modname, attr, fixed
 
-        mod = importlib.import_module(f"repro.experiments.{modname}")
-        return getattr(mod, attr)(**{**fixed, **kw})
+    def function(self):
+        """The experiment function this entry defers to."""
+        module = importlib.import_module(f"repro.experiments.{self.modname}")
+        return getattr(module, self.attr)
 
-    return run
+    def __call__(self, **kw):
+        return self.function()(**{**self.fixed, **kw})
 
 
-#: experiment name -> (callable(scale, seed, **kw), description)
+#: experiment name -> (callable(scale, seed, **kw), description, the
+#: options it takes besides --scale, --seed and --json)
 EXPERIMENTS = {
-    "fig1": (_lazy("fig1_avg_hops"), "Fig 1: average hops vs network size"),
-    "fig5a": (_lazy("fig5a_moore2"), "Fig 5a: Moore bound, diameter 2"),
-    "fig5b": (_lazy("fig5b_moore3"), "Fig 5b: Moore bound, diameter 3"),
-    "fig5c": (_lazy("fig5c_bisection"), "Fig 5c: bisection bandwidth"),
-    "table2": (_lazy("table2_diameter"), "Table II: network diameters"),
-    "table3": (_lazy("table3_disconnection"), "Table III: disconnection resiliency"),
+    "fig1": (_lazy("fig1_avg_hops"), "Fig 1: average hops vs network size", ()),
+    "fig5a": (_lazy("fig5a_moore2"), "Fig 5a: Moore bound, diameter 2", ()),
+    "fig5b": (_lazy("fig5b_moore3"), "Fig 5b: Moore bound, diameter 3", ()),
+    "fig5c": (_lazy("fig5c_bisection"), "Fig 5c: bisection bandwidth", ()),
+    "table2": (_lazy("table2_diameter"), "Table II: network diameters", ()),
+    "table3": (
+        _lazy("table3_disconnection"), "Table III: disconnection resiliency", ()
+    ),
     "res-diameter": (
         _lazy("resiliency_extra", "run_diameter"),
         "§III-D2: diameter-increase resiliency",
+        (),
     ),
     "res-pathlen": (
         _lazy("resiliency_extra", "run_pathlen"),
         "§III-D3: path-length-increase resiliency",
+        (),
     ),
-    "fig6": (_lazy("fig6_performance"), "Fig 6: latency vs load (use --pattern)"),
-    "fig6a": (_lazy("fig6_performance", pattern="uniform"),
-              "Fig 6a: uniform random traffic"),
-    "fig6b": (_lazy("fig6_performance", pattern="bitrev"),
-              "Fig 6b: bit-reversal traffic"),
-    "fig6c": (_lazy("fig6_performance", pattern="shift"), "Fig 6c: shift traffic"),
-    "fig6d": (_lazy("fig6_performance", pattern="worstcase"),
-              "Fig 6d: worst-case traffic"),
+    "fig6": (
+        _lazy("fig6_performance"),
+        "Fig 6: latency vs load (use --pattern)",
+        ("pattern", "workers", "replicas"),
+    ),
+    "fig6a": (
+        _lazy("fig6_performance", pattern="uniform"),
+        "Fig 6a: uniform random traffic",
+        ("workers", "replicas"),
+    ),
+    "fig6b": (
+        _lazy("fig6_performance", pattern="bitrev"),
+        "Fig 6b: bit-reversal traffic",
+        ("workers", "replicas"),
+    ),
+    "fig6c": (
+        _lazy("fig6_performance", pattern="shift"),
+        "Fig 6c: shift traffic",
+        ("workers", "replicas"),
+    ),
+    "fig6d": (
+        _lazy("fig6_performance", pattern="worstcase"),
+        "Fig 6d: worst-case traffic",
+        ("workers", "replicas"),
+    ),
+    # --workers for parity with fig6: the flow backend solves
+    # in-process, and rows are identical at any worker count.
     "fig6-paper": (
         _lazy("fig6_performance", "run_paper"),
         "Fig 6 at paper scale (q=25 MMS, flow-level backend; use --pattern)",
+        ("pattern", "workers"),
     ),
     "fig8a": (
         _lazy("fig8_buffers_oversub", "run_buffers"),
         "Fig 8a: buffer-size study",
+        ("workers",),
     ),
     "fig9": (
         _lazy("fig9_channel_load"),
         "Fig 9: channel-load distribution (telemetry probes)",
+        ("workers",),
     ),
     "fig8-oversub": (
         _lazy("fig8_buffers_oversub", "run_oversub"),
         "Fig 8b-e: oversubscribed Slim Fly",
+        ("workers",),
     ),
-    "table4": (_lazy("table4_cost_power"), "Table IV: cost & power per node"),
+    "table4": (
+        _lazy("table4_cost_power"),
+        "Table IV: cost & power per node",
+        ("cable_model",),
+    ),
     "costmodel": (
         _lazy("fig11_cost_power", what="models"),
         "Figs 11a/b-13a/b: cable & router cost models",
+        (),
     ),
     "fig11-cost": (
         _lazy("fig11_cost_power", what="cost"),
         "Figs 11c/12c/13c: total network cost",
+        ("cable_model",),
     ),
     "fig11-power": (
         _lazy("fig11_cost_power", what="power"),
         "Figs 11d/12d/13d: total network power",
+        (),
     ),
     "workload_completion": (
         _lazy("workload_completion"),
         "Closed-loop collective/stencil completion time (use --workload)",
+        ("workload", "workers"),
     ),
     "fault-degradation": (
         _lazy("fault_degradation"),
         "Performance under failure: latency/throughput vs dead-link fraction",
+        ("workers",),
     ),
-    "vc-counts": (_lazy("vc_counts"), "§IV-D: deadlock-freedom VC counts"),
+    "vc-counts": (_lazy("vc_counts"), "§IV-D: deadlock-freedom VC counts", ()),
     "ablate-ugal": (
         _lazy("ablations", "run_ugal_candidates"),
         "Ablation: UGAL candidate count (§IV-C)",
+        (),
     ),
     "ablate-val": (
         _lazy("ablations", "run_val_maxhops"),
         "Ablation: Valiant path-length cap (§IV-B)",
+        (),
     ),
     "ablate-xi": (
         _lazy("ablations", "run_primitive_element_invariance"),
         "Ablation: primitive-element invariance (§II-B1)",
+        (),
     ),
 }
-
-#: Experiments whose simulation sweeps fan out over --workers.
-#: fig6-paper accepts the flag for parity (the flow backend solves
-#: in-process; rows are identical at any worker count).
-PARALLEL_SWEEPS = {
-    "fig6", "fig6a", "fig6b", "fig6c", "fig6d", "fig6-paper", "fig8a",
-    "fig9", "fig8-oversub", "workload_completion", "fault-degradation",
-}
-#: Of those, the ones that also accept --replicas (per-point seed averaging).
-REPLICATED_SWEEPS = {"fig6", "fig6a", "fig6b", "fig6c", "fig6d"}
 
 #: Experiments included in `all` (fig6 via its four variants).
 ALL_ORDER = [
@@ -163,179 +205,210 @@ def _nonnegative_int(value: str) -> int:
     return n
 
 
+#: Options that more than one command takes, by destination name (the
+#: flag is ``--`` plus the name with dashes); each default is written
+#: here once.
+_OPTIONS = {
+    "scale": dict(
+        default="default",
+        choices=[s.value for s in Scale],
+        help="size preset (quick | default | paper)",
+    ),
+    "seed": dict(type=int, default=0),
+    "json": dict(
+        metavar="PATH",
+        help="also write the experiment results as a JSON list to PATH",
+    ),
+    "pattern": dict(default="uniform", help="traffic pattern"),
+    "workload": dict(
+        default="alltoall",
+        help="workload kind (alltoall | ring-allreduce | rd-allreduce | "
+        "broadcast | gather | halo2d | halo3d | all)",
+    ),
+    "workers": dict(
+        type=_nonnegative_int,
+        default=1,
+        help="simulation processes (0 = one per core, 1 = in-process; "
+        "results are identical either way)",
+    ),
+    "replicas": dict(
+        type=_positive_int,
+        default=1,
+        help="seed replicas averaged per load point",
+    ),
+    "cable_model": dict(default="mellanox-fdr10", help="cost-model cable product"),
+    "progress": dict(
+        action="store_true",
+        help="stream heartbeat events (scenario start/finish, wall-clock, "
+        "sims/sec) to stderr as JSON lines",
+    ),
+}
+
+#: Options every experiment takes.
+_EXPERIMENT_OPTIONS = ("scale", "seed", "json")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _changed(args, *dests: str) -> list[str]:
+    """The flags among ``dests`` whose value is not their default."""
+    return [
+        _flag(d) for d in dests if getattr(args, d) != _OPTIONS[d].get("default")
+    ]
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a flag the command does not take is reported
+    under the command's own usage line, which lists the flags it does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the Slim Fly paper's tables and figures, "
         "or run a declarative scenario campaign.",
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        help="experiment id, 'all', 'campaign', 'serve-worker', or 'report'",
-    )
-    parser.add_argument(
-        "files",
-        nargs="*",
-        help="campaign JSON file (with 'campaign'), coordinator HOST:PORT "
-        "(with 'serve-worker'), or input data files (with 'report': "
-        "campaign .jsonl rows and/or --json .json results)",
-    )
     parser.add_argument("--list", action="store_true", help="list experiments")
-    parser.add_argument(
-        "--scale",
-        default="default",
-        choices=[s.value for s in Scale],
-        help="size preset (quick | default | paper)",
+    commands = parser.add_subparsers(
+        dest="command", metavar="command", parser_class=_CommandParser
     )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pattern", default="uniform", help="fig6 traffic pattern")
-    parser.add_argument(
-        "--workload",
-        default="alltoall",
-        help="workload_completion kind (alltoall | ring-allreduce | "
-        "rd-allreduce | broadcast | gather | halo2d | halo3d | all)",
+
+    def command(name, description, run, *options):
+        sub = commands.add_parser(name, help=description, description=description)
+        for dest in options:
+            sub.add_argument(_flag(dest), **_OPTIONS[dest])
+        sub.set_defaults(run=run)
+        return sub
+
+    for name, (_, description, options) in EXPERIMENTS.items():
+        command(name, description, _run_experiments, *_EXPERIMENT_OPTIONS, *options)
+    command(
+        "all", "every table and figure in turn (fig6 as fig6a-fig6d)",
+        _run_experiments, *_EXPERIMENT_OPTIONS,
+        *dict.fromkeys(o for name in ALL_ORDER for o in EXPERIMENTS[name][2]),
     )
-    parser.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        help="simulation sweep processes for fig6/fig8/campaigns (0 = one per "
-        "core, 1 = in-process; results are identical either way)",
+
+    campaign = command(
+        "campaign", "run a declarative scenario campaign",
+        _run_campaign_cli, "workers", "progress",
     )
-    parser.add_argument(
-        "--replicas",
-        type=_positive_int,
-        default=1,
-        help="seed replicas averaged per fig6 load point",
-    )
-    parser.add_argument(
-        "--cable-model", default="mellanox-fdr10", help="cost-model cable product"
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the experiment results as a JSON list to PATH",
-    )
-    parser.add_argument(
+    campaign.add_argument("file", help="campaign JSON file")
+    campaign.add_argument(
         "--out",
         metavar="PATH",
-        default=None,
-        help="campaign row output (JSONL; default: <campaign>.results.jsonl) "
-        "or the report output directory (required for 'report')",
+        help="row output (JSONL; default: <campaign>.results.jsonl)",
     )
-    parser.add_argument(
+    campaign.add_argument(
         "--resume",
         action="store_true",
         help="reuse completed scenarios already present in the campaign output",
     )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="campaign: stream heartbeat events (scenario start/finish, "
-        "wall-clock, sims/sec) to stderr as JSON lines",
-    )
-    parser.add_argument(
+    campaign.add_argument(
         "--store",
         metavar="PATH",
-        default=None,
-        help="campaign: content-addressed result store (directory path, or a "
+        help="content-addressed result store (directory path, or a "
         "file:/memory: URL) — cache hits replay without simulating, fresh "
         "results are written back",
     )
-    parser.add_argument(
+    campaign.add_argument(
         "--service",
         metavar="ADDR",
-        default=None,
-        help="campaign: dispatch through the coordinator/worker scheduler, "
+        help="dispatch through the coordinator/worker scheduler, "
         "listening on ADDR ([HOST:]PORT; port 0 picks an ephemeral port, "
         "printed to stderr); point serve-worker processes at it",
     )
-    parser.add_argument(
+
+    worker = command(
+        "serve-worker", "execute the work units a campaign coordinator leases",
+        _serve_worker_cli, "workers", "progress",
+    )
+    worker.add_argument("address", metavar="HOST:PORT", help="coordinator address")
+    worker.add_argument(
         "--retry-for",
         type=float,
         default=10.0,
         metavar="SECONDS",
-        help="serve-worker: keep retrying the initial connect this long "
+        help="keep retrying the initial connect this long "
         "(workers may start before their coordinator)",
     )
-    parser.add_argument(
+    worker.add_argument(
         "--fail-after",
         type=_positive_int,
-        default=None,
         metavar="N",
-        help="serve-worker: SIGKILL this worker on its N-th lease "
+        help="SIGKILL this worker on its N-th lease "
         "(deterministic fault injection for tests/CI)",
     )
-    parser.add_argument(
+
+    report = command(
+        "report", "render REPORT.md and its figures",
+        _run_report_cli, "scale", "seed", "workers", "cable_model",
+    )
+    report.add_argument(
+        "files",
+        nargs="*",
+        help="input data files: campaign .jsonl rows and/or --json .json "
+        "results (none: run the standard campaigns)",
+    )
+    report.add_argument(
+        "--out", required=True, metavar="DIR", help="report output directory"
+    )
+    report.add_argument(
         "--no-analytics",
         action="store_true",
-        help="report: skip the analytic cost/power figures",
+        help="skip the analytic cost/power figures",
     )
-    parser.add_argument(
+    report.add_argument(
         "--png",
         action="store_true",
-        help="report: additionally render PNG figures (requires matplotlib)",
+        help="additionally render PNG figures (requires matplotlib)",
     )
     return parser
 
 
 def run_experiment(name: str, scale, seed: int, **kw):
-    fn, _ = EXPERIMENTS[name]
+    fn = EXPERIMENTS[name][0]
     return fn(scale=scale, seed=seed, **kw)
+
+
+def experiment_calls(args) -> list[tuple[str, dict]]:
+    """``(experiment, keyword arguments)`` for each experiment a parsed
+    experiment or ``all`` command runs: ``scale``, ``seed`` and the
+    options the experiment's entry declares."""
+    names = ALL_ORDER if args.command == "all" else [args.command]
+    return [
+        (name, {d: getattr(args, d) for d in ("scale", "seed", *EXPERIMENTS[name][2])})
+        for name in names
+    ]
+
+
+def _run_experiments(args) -> int:
+    results = []
+    for name, kw in experiment_calls(args):
+        start = time.time()
+        result = run_experiment(name, **kw)
+        results.append(result)
+        print(result.render())
+        print(f"[{name} finished in {time.time() - start:.1f}s]\n")
+    if args.json:
+        Path(args.json).write_text(
+            json.dumps([r.to_dict() for r in results], indent=2) + "\n"
+        )
+        print(f"[wrote {len(results)} result(s) to {args.json}]")
+    return 0
 
 
 def _run_campaign_cli(args) -> int:
     from repro.scenarios import Campaign, run_campaign
 
-    if not args.files:
-        print("campaign needs a JSON file argument", file=sys.stderr)
-        return 2
-    if len(args.files) > 1:
-        print(
-            f"campaign takes exactly one JSON file, got {len(args.files)} "
-            f"(run several campaigns as separate invocations)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.json:
-        # Campaigns stream JSONL rows via --out; silently dropping the
-        # flag would look like the results were written.
-        print(
-            "--json applies to experiments; campaigns write rows to --out",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_analytics or args.png:
-        print("--no-analytics/--png apply to the 'report' subcommand only",
-              file=sys.stderr)
-        return 2
-    # Everything but --workers/--out/--resume/--store/--service is
-    # baked into the spec file; silently dropping a flag would
-    # misrepresent the rows.
-    ignored = [
-        flag
-        for flag, value, default in (
-            ("--scale", args.scale, "default"),
-            ("--seed", args.seed, 0),
-            ("--pattern", args.pattern, "uniform"),
-            ("--workload", args.workload, "alltoall"),
-            ("--replicas", args.replicas, 1),
-            ("--cable-model", args.cable_model, "mellanox-fdr10"),
-            ("--retry-for", args.retry_for, 10.0),
-            ("--fail-after", args.fail_after, None),
-        )
-        if value != default
-    ]
-    if ignored:
-        print(
-            f"{', '.join(ignored)} cannot apply to a campaign — those axes "
-            "live in the campaign JSON; edit the spec instead",
-            file=sys.stderr,
-        )
-        return 2
-    path = Path(args.files[0])
+    path = Path(args.file)
     if not path.exists():
         print(f"no such campaign file: {path}", file=sys.stderr)
         return 2
@@ -388,38 +461,6 @@ def _serve_worker_cli(args) -> int:
     from repro.scenarios.spec import canonical_json
     from repro.service.worker import serve_worker
 
-    if len(args.files) != 1:
-        print("serve-worker needs exactly one HOST:PORT argument", file=sys.stderr)
-        return 2
-    # serve-worker executes leases as-shipped; every flag that shapes
-    # *what* runs belongs to the coordinator side and is rejected
-    # loudly, mirroring the campaign subcommand's strictness.
-    ignored = [
-        flag
-        for flag, value, default in (
-            ("--scale", args.scale, "default"),
-            ("--seed", args.seed, 0),
-            ("--pattern", args.pattern, "uniform"),
-            ("--workload", args.workload, "alltoall"),
-            ("--replicas", args.replicas, 1),
-            ("--cable-model", args.cable_model, "mellanox-fdr10"),
-            ("--json", args.json, None),
-            ("--out", args.out, None),
-            ("--resume", args.resume, False),
-            ("--store", args.store, None),
-            ("--service", args.service, None),
-            ("--no-analytics", args.no_analytics, False),
-            ("--png", args.png, False),
-        )
-        if value != default
-    ]
-    if ignored:
-        print(
-            f"{', '.join(ignored)} cannot apply to serve-worker — a worker "
-            "only executes the leases its coordinator ships",
-            file=sys.stderr,
-        )
-        return 2
     progress = None
     if args.progress:
         progress = lambda event: print(  # noqa: E731
@@ -427,7 +468,7 @@ def _serve_worker_cli(args) -> int:
         )
     try:
         served = serve_worker(
-            args.files[0],
+            args.address,
             workers=args.workers,
             retry_for=args.retry_for,
             fail_after=args.fail_after,
@@ -447,9 +488,6 @@ def _run_report_cli(args) -> int:
     from repro.analysis.figures import HAVE_MATPLOTLIB
     from repro.analysis.report import build_report
 
-    if not args.out:
-        print("report needs --out <directory>", file=sys.stderr)
-        return 2
     if Path(args.out).exists() and not Path(args.out).is_dir():
         print(f"--out must be a directory, and {args.out} is a file",
               file=sys.stderr)
@@ -462,43 +500,17 @@ def _run_report_cli(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # Axes that cannot apply to report rendering are rejected loudly,
-    # mirroring the campaign subcommand's strictness.
-    ignored = [
-        flag
-        for flag, value, default in (
-            ("--json", args.json, None),
-            ("--resume", args.resume, False),
-            ("--progress", args.progress, False),
-            ("--pattern", args.pattern, "uniform"),
-            ("--workload", args.workload, "alltoall"),
-            ("--replicas", args.replicas, 1),
-            ("--store", args.store, None),
-            ("--service", args.service, None),
-            ("--retry-for", args.retry_for, 10.0),
-            ("--fail-after", args.fail_after, None),
-        )
-        if value != default
-    ]
-    if ignored:
-        print(
-            f"{', '.join(ignored)} cannot apply to 'report' (campaigns "
-            "resume automatically; other axes live in the input files)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_analytics and args.cable_model != "mellanox-fdr10":
+    # The flags below are the report's own, but some values leave
+    # nothing to consume them; a flag that would be silently dropped is
+    # an error instead.
+    if args.no_analytics and _changed(args, "cable_model"):
         print(
             "--cable-model applies to the analytic cost figure, which "
             "--no-analytics skips",
             file=sys.stderr,
         )
         return 2
-    if args.files and args.no_analytics and (
-        args.scale != "default" or args.seed != 0
-    ):
-        # With input files and no analytics nothing consumes these
-        # axes — same loud-rejection rule as the flags above.
+    if args.files and args.no_analytics and _changed(args, "scale", "seed"):
         print(
             "--scale/--seed only apply to simulations and analytic "
             "figures; with input files and --no-analytics neither runs",
@@ -509,9 +521,7 @@ def _run_report_cli(args) -> int:
     if missing:
         print(f"no such input file(s): {', '.join(missing)}", file=sys.stderr)
         return 2
-    if args.files and args.workers != 1:
-        # With input files nothing simulates, so the flag would be
-        # silently dropped — same loud-rejection rule as above.
+    if args.files and _changed(args, "workers"):
         print(
             "--workers only applies when report runs the default campaigns "
             "(no input files); the given files already hold the rows",
@@ -544,85 +554,21 @@ def _run_report_cli(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list or not args.experiment:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help (0)
+        return exc.code
+    if args.list or args.command is None:
         width = max(len(k) for k in EXPERIMENTS)
-        for key, (_, desc) in EXPERIMENTS.items():
+        for key, (_, desc, _) in EXPERIMENTS.items():
             print(f"{key.ljust(width)}  {desc}")
         print(
-            "\nsubcommands: campaign <grid.json> [--workers N] [--resume] "
-            "[--store PATH] [--service ADDR]  |  "
-            "serve-worker <host:port> [--workers N]  |  "
-            "report [data.jsonl ...] --out <dir>"
+            "\nalso: all  |  campaign <grid.json>  |  serve-worker <HOST:PORT>  "
+            "|  report [data.jsonl ...] --out <dir>\n"
+            "<command> --help lists the flags a command takes"
         )
         return 0
-
-    if args.experiment == "campaign":
-        return _run_campaign_cli(args)
-    if args.experiment == "serve-worker":
-        return _serve_worker_cli(args)
-    if args.experiment == "report":
-        return _run_report_cli(args)
-    if args.out or args.resume:
-        print(
-            "--out/--resume apply to the 'campaign' and 'report' subcommands only",
-            file=sys.stderr,
-        )
-        return 2
-    if args.store or args.service:
-        print("--store/--service apply to the 'campaign' subcommand only",
-              file=sys.stderr)
-        return 2
-    if args.retry_for != 10.0 or args.fail_after is not None:
-        print("--retry-for/--fail-after apply to the 'serve-worker' "
-              "subcommand only", file=sys.stderr)
-        return 2
-    if args.progress:
-        print("--progress applies to the 'campaign' and 'serve-worker' "
-              "subcommands only", file=sys.stderr)
-        return 2
-    if args.no_analytics or args.png:
-        print("--no-analytics/--png apply to the 'report' subcommand only",
-              file=sys.stderr)
-        return 2
-    if args.files:
-        # Only 'campaign'/'report' take extra positionals; catching it
-        # here keeps e.g. `fig6 worstcase` (forgotten --pattern) loud.
-        print(
-            f"unexpected argument {args.files[0]!r} "
-            f"(only 'campaign' and 'report' take file arguments)",
-            file=sys.stderr,
-        )
-        return 2
-
-    targets = ALL_ORDER if args.experiment == "all" else [args.experiment]
-    results = []
-    for name in targets:
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; --list shows options", file=sys.stderr)
-            return 2
-        kw = {}
-        if name in ("fig6", "fig6-paper"):
-            kw["pattern"] = args.pattern
-        if name == "workload_completion":
-            kw["workload"] = args.workload
-        if name in ("table4", "fig11-cost"):
-            kw["cable_model"] = args.cable_model
-        if name in PARALLEL_SWEEPS:
-            kw["workers"] = args.workers
-        if name in REPLICATED_SWEEPS and args.replicas != 1:
-            kw["replicas"] = args.replicas
-        start = time.time()
-        result = run_experiment(name, args.scale, args.seed, **kw)
-        results.append(result)
-        print(result.render())
-        print(f"[{name} finished in {time.time() - start:.1f}s]\n")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps([r.to_dict() for r in results], indent=2) + "\n"
-        )
-        print(f"[wrote {len(results)} result(s) to {args.json}]")
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

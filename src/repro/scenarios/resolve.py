@@ -149,17 +149,14 @@ _VEC_DEFAULT_ROUTERS = 98
 def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
     """Conservative screen for ``cycle-vec``'s packed int64 sort keys.
 
-    The batched engine packs (group, rank, seq) grant keys into one
-    int64 and refuses instances where the product overflows 2**62;
-    this mirrors that bound (over-estimating the VC count, which the
-    routing algorithm may raise) so the auto-default below never
+    The batched engine refuses instances whose grant keys could
+    overflow (:func:`~repro.sim.engine_vec.packed_key_spans`); this
+    checks the same bound, over-estimating the VC count (which the
+    routing algorithm may raise), so the auto-default below never
     upgrades a scenario into a constructor error.
     """
-    C = sum(len(nbrs) for nbrs in topology.adjacency)
-    n_ep = topology.num_endpoints
-    V = max(scenario.sim.num_vcs, 8)
-    max_eps = max((len(e) for e in topology.endpoints_of_router), default=1)
-    seq_span = C * V + 2 + max_eps
+    from repro.sim.engine_vec import packed_key_spans
+
     if scenario.workload is not None:
         from repro.sim.engine import DEFAULT_MAX_CYCLES
 
@@ -171,8 +168,11 @@ def _vec_feasible(scenario: Scenario, topology: Topology) -> bool:
     else:
         cfg = scenario.sim
         limit = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
-    rank_span = 2 * (limit + 2)
-    return (C + n_ep) * rank_span * seq_span < 2**62
+    try:
+        packed_key_spans(topology, max(scenario.sim.num_vcs, 8), limit)
+    except ValueError:
+        return False
+    return True
 
 
 def _execution_backend(scenario: Scenario, topology: Topology) -> str:

@@ -417,6 +417,12 @@ class Coordinator:
             self.campaign, unit.kind, entries,
             workers=self.local_workers, heartbeat=self._heartbeat,
         )
+        # No socket was read while the unit ran here, so the workers'
+        # heartbeats are waiting unread, not missing: restart their
+        # silence clocks instead of declaring them dead.
+        now = time.monotonic()
+        for worker in self._workers.values():
+            worker.last_seen = now
         self._results[unit.uid] = [
             (k, StoreEntry(p["scenario"], p["rows"], p["metrics"]))
             for k, p in zip(unit.indices, payloads)

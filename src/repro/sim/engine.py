@@ -50,6 +50,7 @@ from repro.sim.packet import Packet
 from repro.sim.stats import LatencyAccumulator, SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec, latency_histogram
 from repro.topologies.base import Topology
+from repro.traffic.patterns import TrafficPattern
 from repro.util.rng import make_rng
 
 
@@ -210,72 +211,48 @@ class SimEngine:
         active_add = net.active_routers.add
         now = self.now
         injected = 0
-        if isinstance(dsts, np.ndarray):
-            # Vectorised patterns return an array with no idle slots;
-            # endpoint -> router lookups batch through numpy too, and
-            # packets are built by direct slot stores (a Python-level
-            # __init__ frame per flit is measurable at this rate).
-            emap_arr = self._endpoint_router_arr
-            src_routers = emap_arr[srcs].tolist()
-            dst_routers = emap_arr[dsts].tolist()
-            skip_self = not getattr(self.traffic, "excludes_self", False)
-            new = Packet.__new__
-            rank = now << 1
-            for src, dst, src_router, dst_router in zip(
-                srcs.tolist(), dsts.tolist(), src_routers, dst_routers
+        # Endpoint -> router lookups batch through numpy, and packets
+        # are built by direct slot stores (a Python-level __init__
+        # frame per flit is measurable at this rate).  Idle slots come
+        # back as dst == src and fall to the self-traffic filter.
+        emap_arr = self._endpoint_router_arr
+        src_routers = emap_arr[srcs].tolist()
+        dst_routers = emap_arr[dsts].tolist()
+        skip_self = not self.traffic.excludes_self
+        new = Packet.__new__
+        rank = now << 1
+        for src, dst, src_router, dst_router in zip(
+            srcs.tolist(), dsts.tolist(), src_routers, dst_routers
+        ):
+            if skip_self and dst == src:
+                continue
+            pkt = new(Packet)
+            pkt.src_endpoint = src
+            pkt.dst_endpoint = dst
+            pkt.dst_router = dst_router
+            pkt.path = (
+                plan(src_router, dst_router, net) if plan is not None else None
+            )
+            pkt.hop = 0
+            pkt.inject_time = now
+            pkt.start_time = now
+            pkt.measured = measuring
+            pkt.rank = rank
+            injected += 1
+            inject[src].append(pkt)
+            active_add(src_router)
+        if self._tele_occ and injected:
+            occ = self._occ
+            occ_max = self._occ_max
+            for src, dst, src_router in zip(
+                srcs.tolist(), dsts.tolist(), src_routers
             ):
                 if skip_self and dst == src:
                     continue
-                pkt = new(Packet)
-                pkt.src_endpoint = src
-                pkt.dst_endpoint = dst
-                pkt.dst_router = dst_router
-                pkt.path = (
-                    plan(src_router, dst_router, net) if plan is not None else None
-                )
-                pkt.hop = 0
-                pkt.inject_time = now
-                pkt.start_time = now
-                pkt.measured = measuring
-                pkt.rank = rank
-                injected += 1
-                inject[src].append(pkt)
-                active_add(src_router)
-            if self._tele_occ and injected:
-                occ = self._occ
-                occ_max = self._occ_max
-                for src, dst, src_router in zip(
-                    srcs.tolist(), dsts.tolist(), src_routers
-                ):
-                    if skip_self and dst == src:
-                        continue
-                    o = occ[src_router] + 1
-                    occ[src_router] = o
-                    if o > occ_max[src_router]:
-                        occ_max[src_router] = o
-        else:
-            emap = self.topology.endpoint_map
-            for src, dst in zip(srcs.tolist(), dsts):
-                if dst is None or dst == src:
-                    continue
-                src_router = emap[src]
-                dst_router = emap[dst]
-                path = plan(src_router, dst_router, net) if plan is not None else None
-                pkt = Packet(src, dst, dst_router, path, now, measuring)
-                injected += 1
-                inject[src].append(pkt)
-                active_add(src_router)
-            if self._tele_occ and injected:
-                occ = self._occ
-                occ_max = self._occ_max
-                for src, dst in zip(srcs.tolist(), dsts):
-                    if dst is None or dst == src:
-                        continue
-                    r = emap[src]
-                    o = occ[r] + 1
-                    occ[r] = o
-                    if o > occ_max[r]:
-                        occ_max[r] = o
+                o = occ[src_router] + 1
+                occ[src_router] = o
+                if o > occ_max[src_router]:
+                    occ_max[src_router] = o
         if self._tele_route and not counting_plans:
             # Table-driven protocols never call plan(); every injected
             # packet follows the minimal next-hop table.
@@ -605,22 +582,15 @@ def simulate(
 # -- closed-loop (workload) mode ---------------------------------------------
 
 
-class _NullTraffic:
+class _NullTraffic(TrafficPattern):
     """Traffic shim for closed-loop runs: injection is dependency-driven
     (the Bernoulli process never fires at offered load 0), so the
     pattern only answers ``active_endpoints``."""
 
     name = "closed-loop"
-    excludes_self = True
-
-    def active_endpoints(self, topology: Topology) -> list[int]:
-        return list(range(topology.num_endpoints))
 
     def destination(self, src_endpoint: int, rng):  # pragma: no cover
         return None
-
-    def destinations(self, src_endpoints, rng):  # pragma: no cover
-        return [None] * len(src_endpoints)
 
 
 #: Closed-loop cycle cap when the caller does not supply one: far above

@@ -78,6 +78,25 @@ from repro.util.rng import make_rng
 _PATH_SLOTS = 8
 
 
+def packed_key_spans(topology: Topology, num_vcs: int, limit: int) -> tuple[int, int]:
+    """``(rank span, seq span)`` of the engine's packed int64 grant keys.
+
+    A key is ``(group * RANK_SPAN + rank) * SEQ_SPAN + seq`` over one
+    group per channel and per ejection port, the flat engine's rank
+    ``inject_time << 1 | is_injection`` for inject times up to
+    ``limit`` cycles, and one seq per input buffer plus the injection
+    slots of the busiest router.  Raises ``ValueError`` when a key
+    could reach 2**62.
+    """
+    C = sum(len(nbrs) for nbrs in topology.adjacency)
+    max_eps = max((len(e) for e in topology.endpoints_of_router), default=1)
+    seq_span = C * num_vcs + 2 + max_eps
+    rank_span = 2 * (limit + 2)
+    if (C + topology.num_endpoints) * rank_span * seq_span >= 2**62:
+        raise ValueError("simulation too large for packed int64 sort keys")
+    return rank_span, seq_span
+
+
 class _QueueView:
     """The live ``queue_length`` view per-hop adaptive routing reads.
 
@@ -292,14 +311,9 @@ class VecEngine:
         # == ((grp * RANK_SPAN) + rank) * SEQ_SPAN + seq with the flat
         # engine's rank = inject_time << 1 | is_injection.
         deadline = cfg.warmup_cycles + cfg.measure_cycles + cfg.drain_cycles
-        seq_span = NB + 2 + max(
-            (len(eps) for eps in topology.endpoints_of_router), default=1
-        )
-        rank_span = 2 * (deadline + 2)
+        rank_span, seq_span = packed_key_spans(topology, V, deadline)
         n_groups = C + n_ep
         self._n_groups = n_groups
-        if n_groups * rank_span * seq_span >= 2**62:
-            raise ValueError("simulation too large for packed int64 sort keys")
         self._k_grp = rank_span * seq_span
         self._k_inj = 2 * seq_span
         #: Buffered / injection seq term with the injection bit folded in.
@@ -329,7 +343,7 @@ class VecEngine:
             else None
         )
         self._emap = np.asarray(topology.endpoint_map, dtype=np.int64)
-        self._excludes_self = bool(getattr(traffic, "excludes_self", False))
+        self._excludes_self = traffic.excludes_self
         if self._adaptive is not None:
             self._view = _QueueView(
                 self._pb.tolist(), self._pi, self._stage_len, self.credits,
@@ -479,22 +493,12 @@ class VecEngine:
         srcs = self._active_eps_arr[coins]
         dsts = self.traffic.destinations(srcs, self.rng)
         now = self.now
-        if isinstance(dsts, np.ndarray):
-            if not self._excludes_self:
-                keep = dsts != srcs
-                if not keep.all():
-                    srcs = srcs[keep]
-                    dsts = dsts[keep]
-        else:
-            pairs = [
-                (s, d)
-                for s, d in zip(srcs.tolist(), dsts)
-                if d is not None and d != s
-            ]
-            if not pairs:
-                return
-            srcs = np.array([s for s, _ in pairs], dtype=np.int64)
-            dsts = np.array([d for _, d in pairs], dtype=np.int64)
+        if not self._excludes_self:
+            # Idle slots and self-directed draws come back as dst == src.
+            keep = dsts != srcs
+            if not keep.all():
+                srcs = srcs[keep]
+                dsts = dsts[keep]
         k = len(srcs)
         if k == 0:
             return
@@ -1250,10 +1254,7 @@ class VecClosedLoopEngine(VecEngine):
         self._limit = limit
         # Re-span the packed sort keys: inject times now run to the
         # closed-loop cycle cap instead of the open-loop deadline.
-        seq_span = self._k_inj // 2
-        rank_span = 2 * (limit + 2)
-        if self._n_groups * rank_span * seq_span >= 2**62:
-            raise ValueError("simulation too large for packed int64 sort keys")
+        rank_span, seq_span = packed_key_spans(topology, self.num_vcs, limit)
         self._k_grp = rank_span * seq_span
 
         if hasattr(workload, "messages"):

@@ -20,6 +20,9 @@ class TrafficPattern(ABC):
     """Interface consumed by :class:`repro.sim.engine.SimEngine`."""
 
     name: str = "traffic"
+    #: True when :meth:`destinations` never returns a source's own id,
+    #: so the engines may skip their self-traffic filter.
+    excludes_self: bool = False
 
     @abstractmethod
     def destination(self, src_endpoint: int, rng) -> int | None:
@@ -28,18 +31,23 @@ class TrafficPattern(ABC):
         ``None`` means the source stays idle for this packet slot.
         """
 
-    def destinations(self, src_endpoints, rng):
+    def destinations(self, src_endpoints, rng) -> np.ndarray:
         """Batch form of :meth:`destination` for one injection cycle.
 
         ``src_endpoints`` is an array/sequence of sources injecting
-        this cycle (ascending); returns a matching sequence of
-        destinations (``None`` entries mean idle).  The default
+        this cycle (ascending); returns an int64 array of matching
+        destinations, in which an idle slot holds its own source id
+        for the engines' self-traffic filter to drop.  The default
         delegates to :meth:`destination` per source; stochastic
         patterns should override with a vectorised draw that consumes
         the RNG stream *identically* to the sequential calls, so batch
         and per-packet injection produce the same simulation.
         """
-        return [self.destination(int(s), rng) for s in src_endpoints]
+        srcs = [int(s) for s in src_endpoints]
+        dsts = [self.destination(s, rng) for s in srcs]
+        return np.array(
+            [s if d is None else d for s, d in zip(srcs, dsts)], dtype=np.int64
+        )
 
     def active_endpoints(self, topology: Topology) -> list[int]:
         """Endpoints that inject (defaults to all)."""

@@ -30,7 +30,7 @@ class TestRegistry:
 
     def test_parser(self):
         args = build_parser().parse_args(["fig1", "--scale", "quick"])
-        assert args.experiment == "fig1"
+        assert args.command == "fig1"
         assert args.scale == "quick"
 
     def test_scale_coercion(self):

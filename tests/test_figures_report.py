@@ -755,6 +755,13 @@ class TestReportCLI:
                          "--scale", "paper"]) == 2
         assert "--scale" in capsys.readouterr().err
 
+    def test_report_rejects_cable_model_with_no_analytics(self, tmp_path,
+                                                          capsys):
+        assert cli_main(["report", "--out", str(tmp_path / "rep"),
+                         "--no-analytics", "--cable-model",
+                         "mellanox-qdr56"]) == 2
+        assert "--cable-model" in capsys.readouterr().err
+
     def test_report_rejects_workers_with_input_files(self, tiny_rows,
                                                      tmp_path, capsys):
         assert cli_main(["report", str(tiny_rows), "--out",
@@ -764,8 +771,8 @@ class TestReportCLI:
     def test_campaign_cli_rejects_multiple_files(self, tmp_path, capsys):
         spec = tiny_campaign().save(tmp_path / "grid.json")
         assert cli_main(["campaign", str(spec), str(spec)]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        assert f"unrecognized arguments: {spec}" in capsys.readouterr().err
 
     def test_experiments_reject_report_flags(self, capsys):
         assert cli_main(["table2", "--scale", "quick", "--png"]) == 2
-        assert "report" in capsys.readouterr().err
+        assert "unrecognized arguments: --png" in capsys.readouterr().err

@@ -20,6 +20,10 @@ from test_fault_differential import FAULT, faulted_scenario
 from repro.scenarios import (
     Campaign,
     FaultSpec,
+    RoutingSpec,
+    Scenario,
+    TopologySpec,
+    TrafficSpec,
     canonical_json,
     run_campaign,
     scenario_hash,
@@ -43,6 +47,7 @@ from repro.service.store import (
 )
 from repro.service.units import execute_unit, from_wire
 from repro.service.worker import _connect, parse_address, serve_worker
+from repro.sim.config import SimConfig
 from repro.sim.parallel import simulations_started
 from repro.sim.telemetry import TelemetrySpec
 
@@ -796,6 +801,73 @@ class TestService:
             e for e in report.events if e["event"] == "unit_local_fallback"
         )
         assert fallback["reason"] == reason
+
+    def test_local_fallback_does_not_starve_a_busy_worker(self):
+        """A unit the coordinator runs in-process blocks its selector
+        loop, so a busy worker's heartbeats wait unread meanwhile; they
+        must not count as silence once the unit returns."""
+        sim = SimConfig(warmup_cycles=300, measure_cycles=1500, drain_cycles=3000)
+        campaign = Campaign("starve", [
+            Scenario(
+                topology=TopologySpec("SF", params={"q": 5}),
+                routing=RoutingSpec("min"),
+                sim=dataclasses.replace(sim, seed=seed),
+                traffic=TrafficSpec("uniform", seed=seed),
+                loads=[0.1, 0.2, 0.3],
+                label=f"s{seed}",
+            )
+            for seed in (0, 1)
+        ])
+        cfg, ready, bound = service_config(
+            wait_for_workers=10.0, heartbeat_timeout=1.0, max_retries=0,
+        )
+        procs: list = []
+
+        def fake_worker():
+            assert ready.wait(10)
+            sock = socket.create_connection(parse_address(bound["addr"]), timeout=30)
+            try:
+                send_message(sock, {"type": "hello", "worker": "fake", "pid": 0})
+                lease = recv_message(sock)  # unit 0: the only worker so far
+                # A real worker in its own process, beaconing every
+                # 0.2 s; its first progress line means it holds unit 1.
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-c",
+                     "import sys\n"
+                     "from repro.service.worker import serve_worker\n"
+                     "serve_worker(sys.argv[1], name='healthy', retry_for=10.0,\n"
+                     "             heartbeat_interval=0.2,\n"
+                     "             progress=lambda e: print(e['event'], flush=True))\n",
+                     bound["addr"]],
+                    stdout=subprocess.PIPE, text=True,
+                ))
+                procs[0].stdout.readline()
+                # A bad answer: unit 0 falls back to running in-process
+                # while the healthy worker computes unit 1.
+                send_message(sock, {"type": "result", "lease": lease["lease"],
+                                    "results": [5], "sims": 0})
+            finally:
+                sock.close()
+
+        t = threading.Thread(target=fake_worker, daemon=True)
+        t.start()
+        try:
+            report = run_campaign(campaign, service=cfg)
+            t.join(10)
+            code = procs[0].wait(timeout=30)
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.stdout.close()
+        dead = [e["worker"] for e in report.events if e["event"] == "worker_dead"]
+        assert "healthy" not in dead
+        fallbacks = [
+            (e["unit"], e["reason"])
+            for e in report.events if e["event"] == "unit_local_fallback"
+        ]
+        assert fallbacks == [(0, "bad_result")]
+        assert report.heartbeat["sims"] == 6
+        assert code == 0  # shut down by its coordinator, not dropped
 
     def test_service_and_store_compose(self, tmp_path):
         campaign = mixed_campaign()

@@ -18,8 +18,15 @@ import pytest
 
 from repro.routing import MinimalRouting, UGALRouting, ValiantRouting
 from repro.sim import SimConfig, SimEngine, latency_vs_load, simulate
+from repro.sim.engine_vec import vec_simulate
 from repro.sim.reference import ReferenceEngine, reference_simulate
-from repro.traffic import ShiftPattern, ShufflePattern, SlimFlyWorstCase, UniformRandom
+from repro.traffic import (
+    ShiftPattern,
+    ShufflePattern,
+    SlimFlyWorstCase,
+    TrafficPattern,
+    UniformRandom,
+)
 
 CFG = SimConfig(warmup_cycles=120, measure_cycles=300, drain_cycles=1500, seed=11)
 
@@ -83,6 +90,29 @@ class TestBitwiseEquivalence:
         ref = reference_simulate(sf5, MinimalRouting(sf5_tables), pat, 0.4, CFG)
         flat = simulate(sf5, MinimalRouting(sf5_tables), pat, 0.4, CFG)
         assert ref == flat
+
+    @pytest.mark.parametrize(
+        "make_routing",
+        [lambda t: MinimalRouting(t), lambda t: UGALRouting(t, "local", seed=3)],
+        ids=["MIN", "UGAL-L"],
+    )
+    def test_scalar_only_pattern_with_idle_slots(self, sf5, sf5_tables, make_routing):
+        """A pattern that defines only ``destination`` batches through
+        the base class: idle slots come back as ``dst == src`` for the
+        engines' self-traffic filter, drawn in the scalar order the
+        reference engine uses."""
+
+        class EveryThirdIdle(TrafficPattern):
+            def destination(self, src_endpoint, rng):
+                if src_endpoint % 3 == 0:
+                    return None
+                return int(rng.integers(sf5.num_endpoints))  # may be itself
+
+        pat = EveryThirdIdle()
+        ref = reference_simulate(sf5, make_routing(sf5_tables), pat, 0.4, CFG)
+        assert ref.accepted_load > 0
+        assert simulate(sf5, make_routing(sf5_tables), pat, 0.4, CFG) == ref
+        assert vec_simulate(sf5, make_routing(sf5_tables), pat, 0.4, CFG) == ref
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_multiflit(self, sf5, sf5_tables, length):
