@@ -205,8 +205,9 @@ def run(
 ) -> ExperimentResult:
     """Regenerate one Fig 6 panel (identical rows to the legacy path).
 
-    ``workers`` fans each scenario's load sweep across processes (0 =
-    one per core, 1 = in-process); rows are identical for any value.
+    ``workers`` fans the panel's scenarios across processes, or each
+    scenario's loads when the scenarios are fewer than the workers (0
+    = one per core, 1 = in-process); rows are identical for any value.
     ``replicas`` averages each point over derived seeds.
     """
     scale = Scale.coerce(scale)

@@ -5,10 +5,13 @@ scenarios into work units (:func:`partition_units`: one open-loop
 scenario, or one batch of closed-loop scenarios), runs each unit
 through :func:`repro.service.units.execute_unit` — the same function
 service workers run — and streams one JSON row per result to a JSONL
-file as each scenario completes.  Inside a unit, open-loop scenarios
-fan their (load × replica) grid across workers via
-:func:`~repro.sim.parallel.parallel_latency_vs_load`, and a batch is
-one :func:`~repro.sim.parallel.parallel_workload_completion` call.
+file as each scenario completes.  Workers fan the campaign's units:
+when the pending units can fill every worker, each runs whole in one
+child of one fork pool.  Otherwise each unit fans its own work: an
+open-loop scenario its (load × replica) grid via
+:func:`~repro.sim.parallel.parallel_latency_vs_load`, a batch its
+tasks via :func:`~repro.sim.parallel.parallel_workload_completion`.
+A ``flow`` sweep is solved in-process in either case.
 
 Every row carries its scenario hash and its ``row``/``rows`` position,
 so the output is self-describing and resumable: with ``resume=True``
@@ -70,7 +73,14 @@ from repro.scenarios.spec import (
     splice_campaign,
     unsplice_campaign,
 )
-from repro.sim.parallel import parallel_latency_vs_load, simulations_started
+from repro.sim.backends import get_backend
+from repro.sim.parallel import (
+    _fork_map,
+    credit_simulations,
+    parallel_latency_vs_load,
+    resolve_workers,
+    simulations_started,
+)
 from repro.sim.stats import LoadPoint, WorkloadResult
 
 
@@ -569,9 +579,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute a campaign, streaming rows to ``out`` (JSONL).
 
-    ``workers`` fans each scenario's internal grid (and batches of
-    consecutive closed-loop scenarios) across processes; rows are
-    identical for any value.  ``resume=True`` (requires ``out``)
+    ``workers`` fans the campaign's work units across one pool of
+    processes when there are enough of them to fill it; otherwise each
+    unit fans its own loads or closed-loop batch, and a ``flow`` sweep
+    is solved in-process either way.  Rows are identical for any value.
+    ``resume=True`` (requires ``out``)
     reuses the complete scenarios already present in ``out`` and
     simulates only the rest; the finished file is byte-identical to a
     clean run.  Duplicate scenarios are dropped before execution.
@@ -746,11 +758,19 @@ def _run_units(
     Each unit runs through :func:`repro.service.units.execute_unit`.
     In-process, cached scenarios up to a unit's first index replay
     before it runs, and its own scenarios, with the cached ones inside
-    its window, are emitted after it.  With ``service`` set the
-    coordinator leases the units, runs them in whatever order workers
-    finish them, and hands them back here in campaign order.  With no
-    unit pending, no coordinator, socket or pool is started and every
-    scenario replays.
+    its window, are emitted after it.  When the pending units that are
+    not pure (see :attr:`~repro.sim.backends.EngineBackend.pure`) can
+    fill every worker, they run one per task in one fork pool (at one
+    worker each, so no load wave overshoots); each comes back in
+    campaign order with its simulation count, which is credited here,
+    and its heartbeat events, which are replayed where the serial loop
+    emits them.  Pure units are solved here, in order, as ever.  With
+    fewer units than workers each unit fans its own loads or batch
+    across all of them.  With ``service`` set the coordinator
+    leases the units, runs them in whatever order workers finish them,
+    and hands them back here in campaign order.  With no unit pending,
+    no coordinator, socket or pool is started and every scenario
+    replays.
     """
     next_idx = 0
 
@@ -782,19 +802,62 @@ def _run_units(
             heartbeat=heartbeat,
         )
         coordinator.execute(units, on_scenario)
-    else:
-        # Lazy imports: the unit layer builds its rows with this module.
-        from repro.service.store import StoreEntry
-        from repro.service.units import UnitEntry, execute_unit
+        emit_cached_until(len(scenarios))
+        return
+    # Lazy imports: the unit layer builds its rows with this module.
+    from repro.service.store import StoreEntry
+    from repro.service.units import UnitEntry, execute_unit
 
-        for kind, indices in units:
-            emit_cached_until(indices[0])
-            entries = [UnitEntry(k, len(scenarios), scenarios[k]) for k in indices]
-            payloads, _ = execute_unit(
-                campaign.name, kind, entries, workers, heartbeat=heartbeat
-            )
-            for k, p in zip(indices, payloads):
-                on_scenario(k, StoreEntry(p["scenario"], p["rows"], p["metrics"]))
+    def run_unit(unit, unit_workers: int, unit_heartbeat):
+        kind, indices = unit
+        entries = [UnitEntry(k, len(scenarios), scenarios[k]) for k in indices]
+        return execute_unit(
+            campaign.name, kind, entries, unit_workers, heartbeat=unit_heartbeat
+        )
+
+    def finish(unit, payloads) -> None:
+        for k, p in zip(unit[1], payloads):
+            on_scenario(k, StoreEntry(p["scenario"], p["rows"], p["metrics"]))
+
+    def pure(unit) -> bool:
+        # A pure sweep (``flow``) is solved in-process whatever
+        # ``workers`` says; no closed batch is pure.
+        return get_backend(scenarios[unit[1][0]].backend).pure
+
+    pooled = [unit for unit in units if not pure(unit)]
+    pool = resolve_workers(workers, sys.maxsize)  # not capped by units
+    if not 1 < pool <= len(pooled):
+        # One worker, or too few units to fill every worker: each unit
+        # fans its own loads or batch across ``workers``.
+        for unit in units:
+            emit_cached_until(unit[1][0])
+            finish(unit, run_unit(unit, workers, heartbeat)[0])
+        emit_cached_until(len(scenarios))
+        return
+    # Every distinct topology and table is built here, once, and
+    # inherited by the children the pool forks.
+    for _, indices in pooled:
+        for k in indices:
+            resolve(scenarios[k])
+
+    def run_in_child(unit):
+        events: list[dict] = []
+        payloads, sims = run_unit(unit, 1, lambda **fields: events.append(fields))
+        return payloads, sims, events
+
+    with _fork_map(run_in_child, pool) as pool_map:
+        results = pool_map(pooled)
+        for unit in units:
+            emit_cached_until(unit[1][0])
+            if pure(unit):
+                # Here, while the children run the later units.
+                payloads = run_unit(unit, workers, heartbeat)[0]
+            else:
+                payloads, sims, events = next(results)
+                credit_simulations(sims)
+                for fields in events:
+                    heartbeat(**fields)
+            finish(unit, payloads)
     emit_cached_until(len(scenarios))
 
 

@@ -10,9 +10,12 @@ perturbing a byte of the output.
 
 Robustness contract:
 
-- liveness is heartbeat-based: a worker silent longer than
-  ``heartbeat_timeout`` is declared dead and its lease re-queued (an
-  EOF/SIGKILL is just the fast path of the same detection);
+- liveness is heartbeat-based: a worker that holds a lease and stays
+  silent longer than ``heartbeat_timeout`` is declared dead and its
+  lease re-queued (an EOF/SIGKILL is just the fast path of the same
+  detection); workers beacon only while they hold a lease, so a worker
+  that said hello and waits for one is never timed out, and a lease
+  restarts its silence clock;
 - an optional ``lease_timeout`` bounds any single unit's wall-clock on
   one worker;
 - a failed unit is retried on a *different* worker when one exists,
@@ -61,7 +64,8 @@ class ServiceConfig:
     #: Seconds to wait for a first worker before units start running
     #: in-process (late workers still join and take later units).
     wait_for_workers: float = 10.0
-    #: Seconds of worker silence before it is declared dead.
+    #: Seconds of silence before a worker that holds a lease (or a
+    #: connection that never said hello) is declared dead.
     heartbeat_timeout: float = 15.0
     #: Wall-clock bound for one lease on one worker (None = unbounded).
     lease_timeout: float | None = None
@@ -296,12 +300,14 @@ class Coordinator:
                 continue
             worker.lease = lease
             worker.unit_uid = unit.uid
-            worker.assigned_at = time.monotonic()
+            worker.assigned_at = worker.last_seen = time.monotonic()
 
     def _check_timeouts(self) -> None:
         now = time.monotonic()
         cfg = self.config
         for worker in list(self._workers.values()):
+            if worker.lease is None and worker.name is not None:
+                continue  # idle: it sends nothing until its next lease
             if now - worker.last_seen > cfg.heartbeat_timeout:
                 self._fail_worker(worker, "heartbeat_timeout")
             elif (

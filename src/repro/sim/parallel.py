@@ -23,12 +23,17 @@ repo: every backend, every worker count, and the serial wrappers
   in-process, once per load, whatever ``workers`` and ``replicas``
   say.
 - **Worker transport** — :func:`_fork_map`, shared with
-  :func:`parallel_workload_completion`, publishes the mapped function
-  (often a closure over an unpicklable routing factory) in a module
-  global *before* the pool forks, so children inherit it by
-  copy-on-write and tasks carry only small items.  This requires the
-  ``fork`` start method; platforms without it (Windows, macOS spawn
-  default) map in-process.
+  :func:`parallel_workload_completion` and the campaign runner,
+  publishes the mapped function (often a closure over an unpicklable
+  routing factory) in a module global *before* the pool forks, so
+  children inherit it by copy-on-write and tasks carry only small
+  items.  A campaign's workers fan its work units: when its pending
+  units can fill every worker,
+  :func:`repro.scenarios.runner.run_campaign` runs each whole in one
+  child of one pool; otherwise each unit fans its loads here or its
+  batch in :func:`parallel_workload_completion`.  This requires
+  the ``fork`` start method; platforms without it (Windows, macOS
+  spawn default) map in-process.
 
 With ``replicas > 1`` each load point is simulated under several
 derived seeds and the row reports the replica mean (latency averaged
@@ -41,6 +46,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -53,36 +59,46 @@ from repro.sim.engine import simulate_workload
 from repro.sim.stats import LoadPoint, SimResult, WorkloadResult
 from repro.sim.telemetry import TelemetrySpec, merge_telemetry
 
-#: The function the current fork pool maps (set per sweep or batch).
+#: The function the current fork pool maps (set per pool).
 _WORK: Callable | None = None
 
-#: Simulations scheduled by this process (in-process runs and tasks
-#: handed to a pool alike) since import.  Scheduled == executed — waves
-#: only ever contain tasks that run — so the delta across a call is the
-#: number of simulations it cost.  The campaign resume tests and CI
-#: assert a zero delta when every scenario is reused from cache.
-_SIMULATIONS_STARTED = 0
+
+class _Simulations(threading.local):
+    """Simulations scheduled by the current thread (in-process runs and
+    tasks handed to a pool alike) since import.
+
+    Scheduled == executed — waves only ever contain tasks that run — so
+    the delta across a call is the number of simulations it cost.  The
+    count is per thread, so a service worker running as a thread of the
+    coordinator's process neither adds to the coordinator's count nor
+    takes in another worker's.  The campaign resume tests and CI assert
+    a zero delta when every scenario is reused from cache.
+    """
+
+    started = 0
+
+
+_SIMULATIONS = _Simulations()
 
 
 def simulations_started() -> int:
-    """Monotonic count of simulations this process has scheduled."""
-    return _SIMULATIONS_STARTED
+    """Monotonic count of simulations the calling thread has scheduled."""
+    return _SIMULATIONS.started
 
 
 def _count_simulations(n: int) -> None:
-    global _SIMULATIONS_STARTED
-    _SIMULATIONS_STARTED += n
+    _SIMULATIONS.started += n
 
 
 def credit_simulations(n: int) -> None:
-    """Credit simulations executed remotely on this process's behalf.
+    """Credit simulations executed elsewhere to the calling thread.
 
-    The campaign-service coordinator runs work units on other
-    processes/hosts; their workers report how many simulations each
-    unit cost, and the coordinator credits them here so
-    :func:`simulations_started` keeps meaning "simulations this
-    campaign scheduled" regardless of where they ran.  A no-op resume
-    still credits nothing.
+    Work units that run in another process — a campaign's fork-pool
+    children, service workers on other hosts — report how many
+    simulations each cost, and the thread that ordered them credits
+    them here, so :func:`simulations_started` keeps meaning
+    "simulations this campaign scheduled" regardless of where they ran.
+    A no-op resume still credits nothing.
     """
     if n > 0:
         _count_simulations(int(n))
@@ -143,7 +159,10 @@ def _fork_context():
 
 
 def resolve_workers(workers: int | None, num_tasks: int) -> int:
-    """0/None means one worker per core, bounded by the task count."""
+    """Processes a fan-out of ``num_tasks`` uses: 0/None means one per
+    core, bounded by the task count, and 1 where processes cannot fork."""
+    if _fork_context() is None:
+        return 1
     if not workers or workers <= 0:
         workers = os.cpu_count() or 1
     return max(1, min(workers, num_tasks))
@@ -161,21 +180,24 @@ def _run_work(item):
 
 @contextmanager
 def _fork_map(fn: Callable, workers: int):
-    """Yield ``map(items) -> list`` applying ``fn`` in one fork pool.
+    """Yield ``map(items) -> iterator`` applying ``fn`` in one fork pool.
 
     ``fn`` is published to :data:`_WORK` before the pool forks, so it
     may close over anything; only ``items`` and results are pickled.
-    One worker, or a platform without ``fork``, maps in-process.
+    Results come back lazily and in item order (``imap``, one item per
+    task), so a caller can use each as soon as it and every earlier one
+    finished; an exception raised by ``fn`` is raised at its item.  One
+    worker, or a platform without ``fork``, maps in-process.
     """
     global _WORK
     ctx = _fork_context() if workers > 1 else None
     if ctx is None:
-        yield lambda items: [fn(item) for item in items]
+        yield lambda items: map(fn, items)
         return
     _WORK = fn
     try:
         with ctx.Pool(processes=workers) as pool:
-            yield lambda items: pool.map(_run_work, items, chunksize=1)
+            yield lambda items: pool.imap(_run_work, items, chunksize=1)
     finally:
         _WORK = None
 
@@ -208,8 +230,6 @@ def parallel_latency_vs_load(
     config = config or SimConfig()
     if engine_backend.pure:
         workers = replicas = 1
-    elif _fork_context() is None:
-        workers = 1
     workers = resolve_workers(workers, len(loads) * replicas)
     simulate_point = engine_backend.point_simulator(
         topology, routing_factory, traffic, telemetry
@@ -231,7 +251,7 @@ def parallel_latency_vs_load(
             wave = loads[len(points) : len(points) + per_wave]
             items = [(load, rep) for load in wave for rep in range(replicas)]
             _count_simulations(len(items))
-            results = pool_map(items)
+            results = list(pool_map(items))
             for k, load in enumerate(wave):
                 if run >= stop_after_saturation:
                     break  # the wave overshot the cutoff
@@ -302,4 +322,4 @@ def parallel_workload_completion(
         )
 
     with _fork_map(complete, resolve_workers(workers, len(tasks))) as pool_map:
-        return pool_map(range(len(tasks)))
+        return list(pool_map(range(len(tasks))))

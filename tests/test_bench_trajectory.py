@@ -25,7 +25,13 @@ def test_entries_name_benchmark_workloads_and_metrics():
         assert set(entry) == {
             "pr", "parent", "change", "claim", "verdict", "source", "workloads",
         }, entry["pr"]
-        for commit in (entry["parent"], entry["change"]):
+        commits = [entry["parent"], entry["change"]]
+        if entry is entries[-1] and entry["change"] is None:
+            # A change's own entry, written before its commit exists;
+            # the next change fills the commit in.
+            assert entry["source"] == "CHANGES.md", entry["pr"]
+            commits.pop()
+        for commit in commits:
             assert re.fullmatch(r"[0-9a-f]{7,40}", commit), (entry["pr"], commit)
         if entry["claim"] is not None:
             assert entry["claim"]["workload"] in workloads

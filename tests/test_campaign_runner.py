@@ -348,6 +348,27 @@ class TestResume:
         assert events == self.HOLES_PINNED.get(cached, events)
 
     @pytest.mark.parametrize(
+        "cached", list(HOLES_PINNED),
+        ids=lambda cached: "cached-" + "".join(map(str, sorted(cached))),
+    )
+    def test_pooled_resume_with_holes_keeps_the_serial_event_order(
+        self, tmp_path, holes_clean, cached
+    ):
+        """Units run in a fork pool replay their events where the
+        serial loop emits them, cached neighbours included."""
+        campaign, clean = holes_clean
+        hashes = [scenario_hash(s) for s in campaign.scenarios]
+        out = tmp_path / "rows.jsonl"
+        out.write_bytes(b"".join(
+            line for line in clean.splitlines(keepends=True)
+            if hashes.index(json.loads(line)["scenario"]) in cached
+        ))
+        report = run_campaign(campaign, workers=2, out=out, resume=True)
+        assert out.read_bytes() == clean
+        events = [(e["event"], e["index"]) for e in report.events if "index" in e]
+        assert events == self.HOLES_PINNED[cached]
+
+    @pytest.mark.parametrize(
         "scenarios", [5, [{"scenario": ["x"]}]], ids=["int", "list-hash"]
     )
     def test_malformed_meta_sidecar_is_rewritten(self, tmp_path, scenarios):
@@ -644,6 +665,140 @@ class TestResumeReadsLikeTheStore:
         assert report.simulated == (0 if where == "rows" else 2)
         assert out.read_bytes() == clean
         assert sidecar.read_bytes() == clean_sidecar
+
+
+class TestUnitPool:
+    """``workers`` fans a campaign's units across one fork pool; a lone
+    unit fans its own loads or batch."""
+
+    @staticmethod
+    def record_fork_maps(monkeypatch) -> list[int]:
+        """Worker counts of every ``_fork_map`` this process enters."""
+        from repro.scenarios import runner
+        from repro.sim import parallel
+
+        real = parallel._fork_map
+        calls: list[int] = []
+
+        def recording(fn, workers):
+            calls.append(workers)
+            return real(fn, workers)
+
+        monkeypatch.setattr(parallel, "_fork_map", recording)
+        monkeypatch.setattr(runner, "_fork_map", recording)
+        return calls
+
+    def test_multi_unit_campaign_forks_one_pool(self, monkeypatch):
+        # "sat" saturates at 0.9, the first point of a 2-point wave: a
+        # pool per sweep also simulates 1.0 and discards it.
+        campaign = Campaign("sat", [
+            open_scenario("sat", loads=(0.1, 0.2, 0.9, 1.0)),
+            open_scenario("b", seed=1),
+        ])
+        serial = run_campaign(campaign, workers=1)
+        calls = self.record_fork_maps(monkeypatch)
+        pooled = run_campaign(campaign, workers=2)
+        assert calls == [2]
+        assert pooled.rows == serial.rows
+        assert pooled.heartbeat["sims"] == serial.heartbeat["sims"] == 5
+
+    def test_pooled_events_equal_the_serial_events(self):
+        serial = run_campaign(mixed_campaign(), workers=1)
+        pooled = run_campaign(mixed_campaign(), workers=2)
+        assert pooled.rows == serial.rows
+        # Every unit runs at one worker in its child; only the
+        # campaign's own worker count differs.
+        assert (serial.heartbeat["workers"], pooled.heartbeat["workers"]) == (1, 2)
+        del serial.events[-1]["workers"], pooled.events[-1]["workers"]
+        timing = ("wall_s", "sims_per_s")
+        assert [
+            {k: v for k, v in e.items() if k not in timing} for e in pooled.events
+        ] == [
+            {k: v for k, v in e.items() if k not in timing} for e in serial.events
+        ]
+
+    def test_child_exception_propagates_and_resume_runs_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from repro.sim.engine import SimEngine
+
+        campaign = Campaign("boom", [
+            replace(open_scenario(f"s{k}", seed=k), sim=replace(CFG, seed=k))
+            for k in range(4)
+        ])
+        clean = tmp_path / "clean.jsonl"
+        run_campaign(campaign, out=clean)
+        run = SimEngine.run
+
+        def failing_run(self):
+            if self.config.seed == 2:
+                raise RuntimeError("engine failed on seed 2")
+            return run(self)
+
+        # Patched before the pool forks, so the children inherit it.
+        monkeypatch.setattr(SimEngine, "run", failing_run)
+        out = tmp_path / "rows.jsonl"
+        with pytest.raises(RuntimeError, match="engine failed on seed 2"):
+            run_campaign(campaign, workers=2, out=out)
+        assert [json.loads(line)["label"] for line in out.read_text().splitlines()] == [
+            "s0", "s0", "s1", "s1"
+        ]
+        monkeypatch.setattr(SimEngine, "run", run)
+        before = simulations_started()
+        report = run_campaign(campaign, workers=2, out=out, resume=True)
+        assert report.simulated == 2 and report.skipped == 2
+        assert simulations_started() - before == 4
+        assert out.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("engine", ["open", "closed"])
+    def test_single_unit_campaign_fans_its_own_work(self, monkeypatch, engine):
+        if engine == "open":
+            campaign = Campaign("lone", [open_scenario()])
+        else:
+            campaign = Campaign(
+                "lone", [closed_scenario("ring"), closed_scenario("a2a", kind="alltoall")]
+            )
+        serial = run_campaign(campaign, workers=1)
+        calls = self.record_fork_maps(monkeypatch)
+        fanned = run_campaign(campaign, workers=2)
+        # The sweep's loads, or the batch's tasks, in one pool of two.
+        assert calls == [2]
+        assert fanned.rows == serial.rows
+
+    def test_fewer_units_than_workers_fan_their_own_loads(self, monkeypatch):
+        import os
+
+        campaign = Campaign("few", [open_scenario("a"), open_scenario("b", seed=1)])
+        serial = run_campaign(campaign, workers=1)
+        calls = self.record_fork_maps(monkeypatch)
+        # ``workers=0`` on four cores: two units cannot fill the pool,
+        # so each sweep fans its two loads instead.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fanned = run_campaign(campaign, workers=0)
+        assert calls == [2, 2]
+        assert fanned.rows == serial.rows
+
+    def test_flow_units_are_solved_in_the_parent(self, monkeypatch):
+        def flow(label):
+            s = open_scenario(label, loads=(0.2, 0.5))
+            s.backend = "flow"
+            s.revalidate()
+            return s
+
+        campaign = Campaign("fid", [
+            flow("flow-a"), open_scenario("a"), flow("flow-b"),
+            open_scenario("b", seed=1),
+        ])
+        serial = run_campaign(campaign, workers=1)
+        calls = self.record_fork_maps(monkeypatch)
+        pooled = run_campaign(campaign, workers=2)
+        # The two cycle units fill the pool; each flow sweep maps at
+        # one worker here, in this process.
+        assert calls == [2, 1, 1]
+        assert pooled.rows == serial.rows
+        assert pooled.heartbeat["sims"] == serial.heartbeat["sims"]
 
 
 class TestCampaignCLI:

@@ -580,6 +580,82 @@ class TestService:
         assert events.count("worker_joined") >= 1
         assert "service_listening" in events and "campaign_finish" in events
 
+    def test_thread_workers_count_each_simulation_once(self):
+        """Simulations are counted per thread: a worker thread in the
+        coordinator's process adds nothing to the coordinator's count
+        beyond the credit for its units."""
+        serial = run_campaign(mixed_campaign())
+        cfg, ready, bound = service_config(wait_for_workers=30.0)
+        starter, threads = start_thread_workers(ready, bound, 2)
+        report = run_campaign(mixed_campaign(), service=cfg)
+        starter.join(10)
+        for t in threads:
+            t.join(10)
+        assert report.rows == serial.rows
+        assert report.heartbeat["sims"] == serial.heartbeat["sims"] == 6
+
+    def test_idle_worker_outlives_the_heartbeat_timeout(self):
+        """Workers beacon only while they hold a lease, so one that
+        finished the short units and waits idle, longer than
+        ``heartbeat_timeout``, while the other runs the long unit is
+        not declared dead."""
+        sim = SimConfig(warmup_cycles=300, measure_cycles=1500, drain_cycles=3000)
+        campaign = Campaign("idle", [
+            Scenario(
+                topology=TopologySpec("SF", params={"q": 5}),
+                routing=RoutingSpec("min"),
+                sim=sim,
+                traffic=TrafficSpec("uniform"),
+                loads=[0.1, 0.2, 0.3],
+                label="long",
+            ),
+            open_scenario("short-a"),
+            open_scenario("short-b", seed=1),
+        ])
+        cfg, ready, bound = service_config(
+            wait_for_workers=30.0, heartbeat_timeout=1.0,
+        )
+        starter, threads = start_thread_workers(
+            ready, bound, 2, heartbeat_interval=0.2
+        )
+        report = run_campaign(campaign, service=cfg)
+        starter.join(10)
+        for t in threads:
+            t.join(10)
+        events = [e["event"] for e in report.events]
+        assert "worker_dead" not in events and "lease_retry" not in events
+        assert report.simulated == 3 and report.heartbeat["sims"] == 7
+
+    def test_connection_that_never_says_hello_is_dropped(self, tmp_path):
+        """The idle exemption covers introduced workers only: a silent
+        connection is still dropped, so units degrade to local runs."""
+        campaign = Campaign("one", [open_scenario()])
+        serial = tmp_path / "serial.jsonl"
+        run_campaign(campaign, out=serial)
+        cfg, ready, bound = service_config(
+            wait_for_workers=0.5, heartbeat_timeout=0.5,
+        )
+        received: list[bytes] = []
+
+        def silent_client():
+            assert ready.wait(10)
+            sock = socket.create_connection(parse_address(bound["addr"]), timeout=30)
+            try:
+                # EOF without a shutdown frame: dropped as dead.  Kept
+                # connected instead, it would block the degradation
+                # until this recv timed out.
+                received.append(sock.recv(64))
+            finally:
+                sock.close()
+
+        t = threading.Thread(target=silent_client, daemon=True)
+        t.start()
+        report = run_campaign(campaign, out=tmp_path / "svc.jsonl", service=cfg)
+        t.join(10)
+        assert received == [b""]
+        assert (tmp_path / "svc.jsonl").read_bytes() == serial.read_bytes()
+        assert report.simulated == 1
+
     def test_service_with_telemetry_sidecar_byte_identical(self, tmp_path):
         campaign = telemetry_campaign()
         serial, serial_metrics, _ = campaign_files(tmp_path, "serial")
