@@ -44,33 +44,15 @@ class RoutingAlgorithm(ABC):
 
         Returns the full path ``[src, ..., dst]`` for source-routed
         algorithms, or ``None`` for per-hop algorithms.  ``network``
-        is the live :class:`repro.sim.network.SimNetwork` (queue
-        occupancies are read from it by adaptive protocols); analysis
-        callers may pass a lighter object exposing the same
-        ``queue_length(router, neighbor)`` API.
+        exposes ``queue_length(router, neighbor)``, which adaptive
+        protocols read: the cycle engines pass the injection phase's
+        :class:`repro.sim.network.QueueSnapshot`, and analysis callers
+        may pass any object with that method.
         """
 
     def next_hop(self, at_router: int, dst_router: int, packet, network) -> int:
         """Per-hop decision; only called when ``source_routed`` is False."""
         raise NotImplementedError(f"{self.name} is source-routed")
-
-    # -- shared helpers -------------------------------------------------------
-
-    @staticmethod
-    def path_cost_local(path: list[int], network) -> float:
-        """UGAL-L cost: path length × local output queue at the source."""
-        if len(path) < 2:
-            return 0.0
-        hops = len(path) - 1
-        return hops * (1.0 + network.queue_length(path[0], path[1]))
-
-    @staticmethod
-    def path_cost_global(path: list[int], network) -> float:
-        """UGAL-G cost: sum of output-queue lengths along the whole path."""
-        total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += network.queue_length(u, v)
-        return len(path) - 1 + total
 
 
 class SourceRoutedAlgorithm(RoutingAlgorithm):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.routing.base import SourceRoutedAlgorithm
 from repro.routing.tables import RoutingTables
+from repro.routing.ugal import cheapest
 from repro.topologies.dragonfly import Dragonfly
 from repro.util.rng import draw_stream
 
@@ -46,6 +47,8 @@ class DragonflyMinimal(SourceRoutedAlgorithm):
         return path
 
     def _build(self, src_router: int, dst_router: int) -> list[int]:
+        # A bare Generator draws numpy ints; memoized paths hold ints.
+        src_router, dst_router = int(src_router), int(dst_router)
         topo = self.topology
         g_src, g_dst = topo.group_of(src_router), topo.group_of(dst_router)
         if g_src == g_dst:
@@ -81,6 +84,8 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
     ):
         if mode not in ("local", "global"):
             raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
+        if num_candidates < 0:
+            raise ValueError(f"num_candidates must be >= 0, got {num_candidates!r}")
         self.topology = topology
         self.tables = tables
         self.num_candidates = num_candidates
@@ -90,35 +95,47 @@ class DragonflyUGAL(SourceRoutedAlgorithm):
         self.num_vcs = max(1, 2 * tables.diameter())
         self._minimal = DragonflyMinimal(topology, tables)
 
-    def _valiant_group_path(self, src: int, dst: int) -> list[int]:
-        """Minimal to a random router of a random intermediate group, then on.
+    def _candidates(self, src: int, dst: int, count: int):
+        """Yield ``count`` group-Valiant candidates as leg pairs ``(a, b)``.
 
-        Draws the k-th group other than the source and destination
-        groups (ascending), then a router of that group.
+        Each goes minimally to a random router of a random intermediate
+        group, then on: it draws the k-th group other than the source
+        and destination groups (ascending), then a router of that group,
+        and its legs are the two canonical paths (``a + b[1:]`` is the
+        path).  With no third group each samples one minimal leg,
+        yielded as ``(leg, (dst,))``.
         """
         topo = self.topology
         g_src, g_dst = topo.group_of(src), topo.group_of(dst)
         skip = (g_src,) if g_src == g_dst else (min(g_src, g_dst), max(g_src, g_dst))
+        rng = self.rng
         if topo.g == len(skip):
-            return self.tables.sample_min_path(src, dst, self.rng)
-        mid_group = int(self.rng.integers(topo.g - len(skip)))
-        for g in skip:
-            if mid_group >= g:
-                mid_group += 1
-        # Router k of a group is group * a + k (Dragonfly.routers_of_group).
-        mid = mid_group * topo.a + int(self.rng.integers(topo.a))
+            for _ in range(count):
+                yield self.tables.sample_leg(src, dst, rng), (dst,)
+            return
+        integers = rng.integers
+        groups = topo.g - len(skip)
+        a = topo.a
+        n = topo.num_routers
+        paths = self._minimal._paths
         canonical = self._minimal._canonical
-        return [*canonical(src, mid), *canonical(mid, dst)[1:]]
+        for _ in range(count):
+            mid_group = integers(groups)
+            for g in skip:
+                if mid_group >= g:
+                    mid_group += 1
+            # Router k of a group is group * a + k (Dragonfly.routers_of_group).
+            mid = mid_group * a + integers(a)
+            yield (
+                paths.get(src * n + mid) or canonical(src, mid),
+                paths.get(mid * n + dst) or canonical(mid, dst),
+            )
 
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         if src_router == dst_router:
             return [src_router]
-        cands = [self._minimal.canonical_path(src_router, dst_router)]
-        for _ in range(self.num_candidates):
-            cands.append(self._valiant_group_path(src_router, dst_router))
-        if network is None:
-            return cands[0]
-        cost = (
-            self.path_cost_local if self.mode == "local" else self.path_cost_global
+        return cheapest(
+            src_router, dst_router, self._minimal._canonical(src_router, dst_router),
+            self._candidates(src_router, dst_router, self.num_candidates),
+            network, self.mode == "local",
         )
-        return min(cands, key=lambda p: (cost(p, network), len(p)))

@@ -3,11 +3,13 @@
 Stores only the (N_r × N_r) hop-distance matrix (int16) and derives
 next-hop candidates on demand: the neighbours v of u with
 ``dist[v, dst] == dist[u, dst] − 1``, memoized per (router,
-destination) pair on first use.  Memory stays the distance matrix plus
-the sets of the pairs actually visited, while full path diversity stays
-exposed (needed by Valiant sampling and by the worst-case traffic
-generator, which must know *the* two-hop path between non-adjacent Slim
-Fly routers).
+destination) pair on first use.  The planners read whole minimal legs
+from a second per-pair memo (:meth:`RoutingTables.min_legs`), so a
+sampled leg costs one lookup and the draws the hop-by-hop walk would
+make.  Memory stays the distance matrix plus the sets and legs of the
+pairs actually visited, while full path diversity stays exposed (needed
+by Valiant sampling and by the worst-case traffic generator, which must
+know *the* two-hop path between non-adjacent Slim Fly routers).
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ class RoutingTables:
         self.dist = self._all_pairs_distances(adjacency)
         self._dist_list: list[list[int]] | None = None
         self._next_hop: np.ndarray | None = None
-        self._next_hop_list: list[list[int]] | None = None
         #: Shortest-path next hops (adjacency order) per visited
         #: (router, destination) pair, keyed ``at * num_routers + dst``.
         self._hop_sets: dict[int, tuple[int, ...]] = {}
+        #: Minimal legs per visited (source, destination) pair, same
+        #: keys (see :meth:`min_legs`).  Filled on first use, never in
+        #: the constructor, so building tables stays the BFS alone.
+        self._legs: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     @staticmethod
     def _all_pairs_distances(adjacency: list[list[int]]) -> np.ndarray:
@@ -76,11 +81,6 @@ class RoutingTables:
             self._next_hop = nh
         return self._next_hop
 
-    def _next_hop_as_lists(self) -> list[list[int]]:
-        if self._next_hop_list is None:
-            self._next_hop_list = self.next_hop_matrix().tolist()
-        return self._next_hop_list
-
     # -- queries ---------------------------------------------------------
 
     def distance(self, src: int, dst: int) -> int:
@@ -108,30 +108,62 @@ class RoutingTables:
         Tie-break: the first on-path neighbour in adjacency order —
         the "static" in §IV-A's minimal static routing.
         """
-        nh = self._next_hop_as_lists()
-        path = [src]
-        at = src
-        while at != dst:
-            at = nh[at][dst]
-            path.append(at)
-        return path
+        return list(self.min_leg(src, dst))
+
+    def min_legs(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
+        """Memoized minimal legs of ``(src, dst)``, one per first hop.
+
+        Legs come in adjacency order of their first hop.  Each follows
+        the shortest paths from ``src`` while the next hop is unique, so
+        it ends at ``dst`` or at the first router where several next
+        hops tie.  On a diameter-2 Slim Fly every leg ends at ``dst``:
+        a minimal path there is chosen by at most one draw, at its first
+        hop.  ``src == dst`` has the single leg ``(src,)``.
+        """
+        # A bare Generator draws numpy ints; memoized legs hold ints.
+        src, dst = int(src), int(dst)
+        key = src * self.num_routers + dst
+        legs = self._legs.get(key)
+        if legs is None:
+            if src == dst:
+                legs = ((src,),)
+            else:
+                found = []
+                for at in self._hop_set(src, dst):
+                    leg = [src, at]
+                    while at != dst and len(hops := self._hop_set(at, dst)) == 1:
+                        at = hops[0]
+                        leg.append(at)
+                    found.append(tuple(leg))
+                legs = tuple(found)
+            self._legs[key] = legs
+        return legs
+
+    def min_leg(self, src: int, dst: int) -> tuple[int, ...]:
+        """:meth:`min_path` as a tuple: the first leg at every tie."""
+        leg = (self._legs.get(src * self.num_routers + dst) or self.min_legs(src, dst))[0]
+        if leg[-1] != dst:
+            return leg[:-1] + self.min_leg(leg[-1], dst)
+        return leg
+
+    def sample_leg(self, src: int, dst: int, rng) -> tuple[int, ...]:
+        """A uniformly-random-per-hop shortest path, as a tuple.
+
+        One leg-table lookup, drawing ``rng.integers(k)`` when ``k > 1``
+        legs tie at the first hop; a leg whose later hops tie draws at
+        each of those in turn.  ``rng`` is a ``Generator`` or a
+        :class:`~repro.util.rng.DrawStream`.
+        """
+        # Every leg set is non-empty, so a miss is None.
+        legs = self._legs.get(src * self.num_routers + dst) or self.min_legs(src, dst)
+        leg = legs[rng.integers(len(legs))] if len(legs) > 1 else legs[0]
+        if leg[-1] != dst:
+            return leg[:-1] + self.sample_leg(leg[-1], dst, rng)
+        return leg
 
     def sample_min_path(self, src: int, dst: int, rng) -> list[int]:
-        """Uniformly-random-per-hop shortest path (used by VAL segments).
-
-        ``rng`` is a ``Generator`` or a :class:`~repro.util.rng.DrawStream`;
-        a hop draws ``rng.integers(k)`` only when ``k > 1`` next hops tie.
-        """
-        memo = self._hop_sets
-        n = self.num_routers
-        path = [src]
-        at = src
-        while at != dst:
-            # Off the diagonal every set is non-empty, so a miss is None.
-            cands = memo.get(at * n + dst) or self._hop_set(at, dst)
-            at = cands[rng.integers(len(cands))] if len(cands) > 1 else cands[0]
-            path.append(at)
-        return path
+        """:meth:`sample_leg` as a list."""
+        return list(self.sample_leg(src, dst, rng))
 
     def count_min_paths(self, src: int, dst: int) -> int:
         """Number of distinct shortest paths (path-diversity metric)."""

@@ -21,6 +21,42 @@ from repro.routing.valiant import ValiantRouting
 from repro.util.rng import draw_stream
 
 
+def cheapest(src, dst, minimal, candidates, network, local) -> list[int]:
+    """UGAL's choice between ``minimal`` and the drawn ``candidates``.
+
+    Each candidate is a pair of legs ``(a, b)`` sharing their junction
+    (``a[-1] == b[0]``), its path being ``a + b[1:]``.  Candidates are
+    drawn and costed in one pass: UGAL-L (``local``) costs ``hops × (1 +
+    queue toward the first hop)``, UGAL-G ``hops + Σ queues along the
+    path``.  The first candidate with the lowest (cost, hops) wins, as
+    ``min`` would pick it, and only the winner becomes a list.  Without
+    a ``network`` every candidate is still drawn (same draws) and the
+    minimal path returned.
+    """
+    first, second = minimal, (dst,)
+    if network is None:
+        for _ in candidates:
+            pass
+        return list(minimal)
+    q = network.queue_length
+    hops = len(minimal) - 1
+    if local:
+        cost = hops * (1 + q(src, minimal[1]))
+        for a, b in candidates:
+            h = len(a) + len(b) - 2
+            c = h * (1 + q(src, a[1]))
+            if c < cost or (c == cost and h < hops):
+                first, second, cost, hops = a, b, c, h
+    else:
+        cost = hops + sum(map(q, minimal, minimal[1:]))
+        for a, b in candidates:
+            h = len(a) + len(b) - 2
+            c = h + sum(map(q, a, a[1:])) + sum(map(q, b, b[1:]))
+            if c < cost or (c == cost and h < hops):
+                first, second, cost, hops = a, b, c, h
+    return [*first, *second[1:]]
+
+
 class UGALRouting(SourceRoutedAlgorithm):
     """UGAL-L / UGAL-G over arbitrary topologies.
 
@@ -44,6 +80,8 @@ class UGALRouting(SourceRoutedAlgorithm):
     ):
         if mode not in ("local", "global"):
             raise ValueError(f"mode must be 'local' or 'global', got {mode!r}")
+        if num_candidates < 0:
+            raise ValueError(f"num_candidates must be >= 0, got {num_candidates!r}")
         self.tables = tables
         self.mode = mode
         self.num_candidates = num_candidates
@@ -52,20 +90,16 @@ class UGALRouting(SourceRoutedAlgorithm):
         self.name = name or ("UGAL-L" if mode == "local" else "UGAL-G")
         self.num_vcs = max(1, 2 * tables.diameter())
 
-    def candidate_paths(self, src: int, dst: int) -> list[list[int]]:
-        cands = [self.tables.min_path(src, dst)]
-        for _ in range(self.num_candidates):
-            cands.append(self.valiant.plan(src, dst))
-        return cands
-
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         if src_router == dst_router:
             return [src_router]
-        cands = self.candidate_paths(src_router, dst_router)
-        if network is None:
-            return cands[0]
-        cost = (
-            self.path_cost_local if self.mode == "local" else self.path_cost_global
+        minimal = self.tables.min_leg(src_router, dst_router)
+        if self.tables.num_routers < 3:
+            # No Valiant intermediate: every candidate is minimal, no draw.
+            return list(minimal)
+        candidates = self.valiant.candidates(
+            src_router, dst_router, self.num_candidates
         )
-        best = min(cands, key=lambda p: (cost(p, network), len(p)))
-        return best
+        return cheapest(
+            src_router, dst_router, minimal, candidates, network, self.mode == "local"
+        )

@@ -16,13 +16,6 @@ from repro.routing.tables import RoutingTables
 from repro.util.rng import draw_stream
 
 
-def stitch(first_leg: list[int], second_leg: list[int]) -> list[int]:
-    """Concatenate two router paths sharing their junction vertex."""
-    if first_leg[-1] != second_leg[0]:
-        raise ValueError("legs do not share the intermediate router")
-    return first_leg + second_leg[1:]
-
-
 class ValiantRouting(SourceRoutedAlgorithm):
     """Uniform-random intermediate routing."""
 
@@ -34,6 +27,8 @@ class ValiantRouting(SourceRoutedAlgorithm):
         max_resample: int = 32,
         name: str = "VAL",
     ):
+        if max_resample < 1:
+            raise ValueError(f"max_resample must be >= 1, got {max_resample!r}")
         self.tables = tables
         self.rng = draw_stream(seed)
         self.max_hops = max_hops
@@ -41,14 +36,26 @@ class ValiantRouting(SourceRoutedAlgorithm):
         self.name = name
         self.num_vcs = max(1, 2 * tables.diameter())
 
-    def random_intermediate(self, src: int, dst: int) -> int:
-        n = self.tables.num_routers
+    def candidates(self, src: int, dst: int, count: int):
+        """Yield ``count`` Valiant candidates ``src → mid → dst``.
+
+        Each is a pair of minimal legs ``(a, b)`` through a uniformly
+        random intermediate ``mid ∉ {src, dst}`` (``a[-1] == b[0] ==
+        mid``); its path is ``a + b[1:]``.  Draws happen as the
+        candidates are consumed.
+        """
+        tables = self.tables
+        n = tables.num_routers
         if n < 3:
             raise ValueError("a Valiant intermediate needs at least 3 routers")
-        while True:
-            r = int(self.rng.integers(n))
-            if r != src and r != dst:
-                return r
+        rng = self.rng
+        integers = rng.integers
+        sample = tables.sample_leg
+        for _ in range(count):
+            mid = integers(n)
+            while mid == src or mid == dst:
+                mid = integers(n)
+            yield sample(src, mid, rng), sample(mid, dst, rng)
 
     def plan(self, src_router: int, dst_router: int, network=None) -> list[int]:
         if src_router == dst_router:
@@ -56,13 +63,10 @@ class ValiantRouting(SourceRoutedAlgorithm):
         if self.tables.num_routers < 3:
             # No router lies outside {src, dst}: route minimally, no draw.
             return self.tables.min_path(src_router, dst_router)
-        for _ in range(self.max_resample):
-            mid = self.random_intermediate(src_router, dst_router)
-            path = stitch(
-                self.tables.sample_min_path(src_router, mid, self.rng),
-                self.tables.sample_min_path(mid, dst_router, self.rng),
-            )
-            if self.max_hops is None or len(path) - 1 <= self.max_hops:
-                return path
-        # Give up on the constraint rather than livelock the injector.
-        return path
+        max_hops = self.max_hops
+        for a, b in self.candidates(src_router, dst_router, self.max_resample):
+            if max_hops is None or len(a) + len(b) - 2 <= max_hops:
+                break
+        # Past max_resample the constraint gives way rather than
+        # livelock the injector: the last path drawn is returned.
+        return [*a, *b[1:]]

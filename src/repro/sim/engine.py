@@ -8,8 +8,9 @@ Per cycle, in order:
    offered load (one vectorised draw per cycle); destinations for the
    injecting sources are drawn in one batch via
    :meth:`repro.traffic.patterns.TrafficPattern.destinations`; new
-   packets get their route planned (source-routed protocols) and join
-   the endpoint's injection FIFO.  Table-driven protocols (MIN) skip
+   packets get their route planned (source-routed protocols, reading
+   the phase's :class:`~repro.sim.network.QueueSnapshot`) and join the
+   endpoint's injection FIFO.  Table-driven protocols (MIN) skip
    per-packet planning entirely: the engine follows the precomputed
    next-hop matrix from :class:`repro.routing.tables.RoutingTables`.
 3. **Switch allocation** — per router, head flits of occupied input
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import SimConfig
-from repro.sim.network import SimNetwork
+from repro.sim.network import QueueSnapshot, SimNetwork
 from repro.sim.packet import Packet
 from repro.sim.stats import LatencyAccumulator, SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec, latency_histogram
@@ -207,6 +208,9 @@ class SimEngine:
         if counting_plans:
             plan = self._counted_plan(plan)
         net = self.net
+        view = (
+            QueueSnapshot(net.chan_of, net.queue_lengths) if plan is not None else None
+        )
         inject = net.inject_queue
         active_add = net.active_routers.add
         now = self.now
@@ -231,7 +235,7 @@ class SimEngine:
             pkt.dst_endpoint = dst
             pkt.dst_router = dst_router
             pkt.path = (
-                plan(src_router, dst_router, net) if plan is not None else None
+                plan(src_router, dst_router, view) if plan is not None else None
             )
             pkt.hop = 0
             pkt.inject_time = now
@@ -270,8 +274,8 @@ class SimEngine:
         """
         dist = self._tele_dist
 
-        def counted(src_router, dst_router, net):
-            path = plan(src_router, dst_router, net)
+        def counted(src_router, dst_router, view):
+            path = plan(src_router, dst_router, view)
             self._route_total += 1
             if dist is not None and len(path) - 1 > dist[src_router][dst_router]:
                 self._route_diverted += 1
@@ -723,6 +727,9 @@ class ClosedLoopEngine(SimEngine):
             if routing.source_routed and self._next_hop is None
             else None
         )
+        view = (
+            QueueSnapshot(net.chan_of, net.queue_lengths) if plan is not None else None
+        )
         while self._ready:
             batch = sorted(self._ready)
             self._ready = []
@@ -739,7 +746,7 @@ class ClosedLoopEngine(SimEngine):
                 queue = inject[m.src]
                 for _ in range(npkts):
                     path = (
-                        plan(src_router, dst_router, net)
+                        plan(src_router, dst_router, view)
                         if plan is not None
                         else None
                     )

@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.routing.base import RoutingAlgorithm
 from repro.sim.config import SimConfig
-from repro.sim.network import channel_layout
+from repro.sim.network import QueueSnapshot, channel_layout
 from repro.sim.stats import SimResult
 from repro.sim.telemetry import TelemetryResult, TelemetrySpec, latency_histogram
 from repro.topologies.base import Topology
@@ -104,48 +104,25 @@ class _QueueView:
     :meth:`repro.sim.network.SimNetwork.queue_length`, backed by the
     vectorised engine's arrays, so FT-ANCA's per-request decisions in
     :meth:`VecEngine._alloc_adaptive` see the grants made earlier in the
-    same scan.
+    same scan.  Memoryviews of the live credit and stage-length arrays
+    read their elements as Python ints: a read is a few index
+    operations, not a numpy reduction.  The engine updates both arrays
+    in place and never rebinds them, so the views stay live.
     """
 
-    __slots__ = ("_pb", "_pi", "_stage_len", "_credits", "_V", "_cap")
+    __slots__ = ("_chan_of", "_stage_len", "_credits", "_V", "_full")
 
-    def __init__(self, pb, pi, stage_len, credits, V, cap):
-        self._pb = pb
-        self._pi = pi
-        self._stage_len = stage_len
-        self._credits = credits
-        self._V = V
-        self._cap = cap
-
-    def queue_length(self, router: int, neighbor: int) -> int:
-        c = self._pb[router] + self._pi[router][neighbor]
-        V = self._V
-        s = c * V
-        down = self._cap * V - int(self._credits[s : s + V].sum())
-        return int(self._stage_len[c]) + down
-
-
-class _QueueSnapshot:
-    """The ``queue_length`` view UGAL planners read during injection.
-
-    The same signal as :class:`_QueueView`, for every channel at once,
-    filled on the first read of an injection phase.  That is exact:
-    the plan loops only write path rows, never credits or stage
-    lengths, so every read within one phase sees the same state.
-    """
-
-    __slots__ = ("_chan_of", "_fill", "_q")
-
-    def __init__(self, chan_of, fill):
+    def __init__(self, chan_of, stage_len, credits, V, cap):
         self._chan_of = chan_of
-        self._fill = fill
-        self._q = None
+        self._stage_len = memoryview(stage_len)
+        self._credits = memoryview(credits)
+        self._V = V
+        self._full = cap * V
 
     def queue_length(self, router: int, neighbor: int) -> int:
-        q = self._q
-        if q is None:
-            q = self._q = self._fill()
-        return q[self._chan_of[router][neighbor]]
+        c = self._chan_of[router][neighbor]
+        s = c * self._V
+        return self._stage_len[c] + self._full - sum(self._credits[s : s + self._V])
 
 
 class VecEngine:
@@ -184,7 +161,6 @@ class VecEngine:
         source_routed = getattr(routing, "source_routed", False)
 
         nr = topology.num_routers
-        adjacency = topology.adjacency
         _, port_base, chan_src, chan_dst = channel_layout(topology)
         C = int(port_base[-1])
         V = cfg.num_vcs
@@ -195,7 +171,6 @@ class VecEngine:
         self.num_vcs = V
         self._cap = cap
         self._n_ep = n_ep
-        self._pb = port_base
         self._chan_src = chan_src
         self._chan_dst = chan_dst
         self._speedup = cfg.speedup
@@ -224,8 +199,6 @@ class VecEngine:
             else:
                 self._adaptive = routing.next_hop
             self._chan_of_list = chan_of.tolist()
-            pi = [{v: i for i, v in enumerate(nbrs)} for nbrs in adjacency]
-            self._pi = pi
 
         # -- flow-control state (all preallocated) -------------------------
         NB = C * V
@@ -346,8 +319,7 @@ class VecEngine:
         self._excludes_self = traffic.excludes_self
         if self._adaptive is not None:
             self._view = _QueueView(
-                self._pb.tolist(), self._pi, self._stage_len, self.credits,
-                V, cap,
+                self._chan_of_list, self._stage_len, self.credits, V, cap
             )
         #: Per-delivery callback over ejected pool ids; stays None open
         #: loop.  The closed-loop subclass uses it to track message
@@ -553,9 +525,9 @@ class VecEngine:
         if measuring:
             self.measured_injected += k
 
-    def _queue_snapshot(self) -> _QueueSnapshot:
-        """This injection phase's queue view (see :class:`_QueueSnapshot`)."""
-        return _QueueSnapshot(self._chan_of_list, self._queue_lengths)
+    def _queue_snapshot(self) -> QueueSnapshot:
+        """This injection phase's queue view (see :class:`QueueSnapshot`)."""
+        return QueueSnapshot(self._chan_of_list, self._queue_lengths)
 
     def _queue_lengths(self) -> list[int]:
         """Per-channel ``queue_length``: staged packets plus the flits

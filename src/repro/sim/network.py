@@ -33,11 +33,13 @@ contract").
 
 ``queue_length(u, v)`` exposes the congestion signal UGAL variants
 read: the output staging occupancy plus flits already buffered
-downstream (capacity − credits).
+downstream (capacity − credits).  Source-routed planners read it
+through a :class:`QueueSnapshot`, the same type in both cycle engines.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 import numpy as np
@@ -70,6 +72,32 @@ def channel_layout(topology: Topology):
     return degrees, port_base, chan_src, chan_dst
 
 
+class QueueSnapshot:
+    """The ``queue_length`` view source-routed planners read at injection.
+
+    Both cycle engines hand one to every ``plan()`` call of an injection
+    phase.  ``fill()`` returns every channel's ``queue_length`` indexed
+    by flat channel id; it runs on the first read, so a phase whose
+    planners read no queue (VAL) pays nothing.  That is exact: the
+    injection loops write only injection queues and path rows, never
+    credits or output stages, so every read within one phase sees the
+    same state.  ``chan_of[router][neighbor]`` is the flat channel id.
+    """
+
+    __slots__ = ("_chan_of", "_fill", "_q")
+
+    def __init__(self, chan_of, fill):
+        self._chan_of = chan_of
+        self._fill = fill
+        self._q = None
+
+    def queue_length(self, router: int, neighbor: int) -> int:
+        q = self._q
+        if q is None:
+            q = self._q = self._fill()
+        return q[self._chan_of[router][neighbor]]
+
+
 class SimNetwork:
     """Mutable flow-control state of a simulated network, flat layout."""
 
@@ -96,6 +124,11 @@ class SimNetwork:
         self.chan_dst_list: list[int] = self.chan_dst.tolist()
         #: buffer id -> source router of its channel (credit-return target).
         self.buf_src_list: list[int] = np.repeat(self.chan_src, V).tolist()
+        #: neighbor id -> flat channel id per router (queue reads).
+        self.chan_of: list[dict[int, int]] = [
+            {v: pb + i for v, i in pi.items()}
+            for pb, pi in zip(self.port_base_list, self.port_index)
+        ]
         #: Channel *into* router r on its arrival port p (reverse lookup).
         pb = self.port_base_list
         self.in_chan: list[list[int]] = [
@@ -104,6 +137,8 @@ class SimNetwork:
         ]
 
         cap = config.buffer_per_vc
+        #: Downstream slots of one channel over all its VCs.
+        self.channel_capacity = cap * V
         #: Free downstream slots per (channel, VC), flat-indexed by
         #: ``c * num_vcs + vc``.  Stored as a preallocated Python list:
         #: the switch-allocation loop does one read-modify-write per
@@ -169,12 +204,23 @@ class SimNetwork:
 
     def queue_length(self, router: int, neighbor: int) -> int:
         """Output-queue occupancy toward ``neighbor`` as UGAL sees it."""
-        c = self.port_base_list[router] + self.port_index[router][neighbor]
-        staged = len(self.out_stage[c])
+        c = self.chan_of[router][neighbor]
         V = self.num_vcs
-        cap = self.config.buffer_per_vc
-        downstream = cap * V - sum(self.credits_flat[c * V : (c + 1) * V])
-        return staged + downstream
+        s = c * V
+        return (
+            len(self.out_stage[c])
+            + self.channel_capacity
+            - sum(self.credits_flat[s : s + V])
+        )
+
+    def queue_lengths(self) -> list[int]:
+        """:meth:`queue_length` of every channel, by flat channel id."""
+        V = self.num_vcs
+        used = [self.channel_capacity] * self.num_channels
+        # One C-level pass per VC over its strided credit column.
+        for vc in range(V):
+            used = map(operator.sub, used, self.credits_flat[vc::V])
+        return list(map(operator.add, map(len, self.out_stage), used))
 
     def total_buffered(self) -> int:
         """Flits resident in input buffers + staging (conservation checks)."""

@@ -16,7 +16,6 @@ from repro.routing import (
     UGALRouting,
     ValiantRouting,
 )
-from repro.routing.valiant import stitch
 from repro.topologies import Dragonfly, FatTree3, SlimFly
 from repro.topologies.fattree import AGG, CORE, EDGE
 
@@ -155,10 +154,45 @@ class TestUGAL:
         with pytest.raises(ValueError):
             UGALRouting(sf5_tables, "sideways")
 
-    def test_candidate_count(self, sf5_tables):
-        r = UGALRouting(sf5_tables, "local", num_candidates=4, seed=0)
-        cands = r.candidate_paths(0, 23)
-        assert len(cands) == 5  # MIN + 4 VAL
+
+class TestPlannerParameters:
+    """Parameters a planner cannot use fail at construction, naming the
+    parameter, instead of inside the engine or by silently routing MIN."""
+
+    def test_valiant_max_resample(self, sf5_tables):
+        with pytest.raises(ValueError, match="max_resample"):
+            ValiantRouting(sf5_tables, seed=0, max_resample=0)
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_ugal_num_candidates(self, sf5_tables, mode):
+        with pytest.raises(ValueError, match="num_candidates"):
+            UGALRouting(sf5_tables, mode, num_candidates=-1, seed=0)
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_dragonfly_ugal_num_candidates(self, df3, mode):
+        tables = RoutingTables(df3.adjacency)
+        with pytest.raises(ValueError, match="num_candidates"):
+            DragonflyUGAL(df3, tables, num_candidates=-1, mode=mode, seed=0)
+
+    def test_zero_candidates_route_minimally(self, sf5_tables):
+        r = UGALRouting(sf5_tables, "local", num_candidates=0, seed=0)
+        before = r.rng.bit_generator.state
+        assert r.plan(0, 23, FakeNetwork()) == sf5_tables.min_path(0, 23)
+        assert r.rng.bit_generator.state == before
+
+    def test_val_spec_fails_before_simulating(self):
+        from repro.scenarios import RoutingSpec, Scenario, TopologySpec, TrafficSpec, resolve
+        from repro.sim.config import SimConfig
+
+        scenario = Scenario(
+            topology=TopologySpec("SF", params={"q": 5}),
+            routing=RoutingSpec("val", {"seed": 0, "max_resample": 0}),
+            sim=SimConfig(warmup_cycles=10, measure_cycles=10, drain_cycles=50),
+            traffic=TrafficSpec("uniform"),
+            loads=[0.1],
+        )
+        with pytest.raises(ValueError, match="max_resample"):
+            resolve(scenario).routing_factory()
 
 
 class TestDragonflyRouting:
@@ -184,7 +218,7 @@ class TestDragonflyRouting:
         src, dst = 0, df3.num_routers - 1
         seen_mid_groups = set()
         for _ in range(30):
-            path = r._valiant_group_path(src, dst)
+            path = stitch(*next(r._candidates(src, dst, 1)))
             groups = {df3.group_of(x) for x in path}
             seen_mid_groups |= groups - {df3.group_of(src), df3.group_of(dst)}
         assert seen_mid_groups, "VAL-group paths should visit intermediate groups"
@@ -246,6 +280,29 @@ class TestANCA:
 # the shared Generator in an identical state after every call.
 
 
+def stitch(first_leg, second_leg):
+    """Concatenate two router paths sharing their junction vertex."""
+    if first_leg[-1] != second_leg[0]:
+        raise ValueError("legs do not share the intermediate router")
+    return first_leg + second_leg[1:]
+
+
+def reference_path_cost_local(path, network):
+    """UGAL-L cost: path length × local output queue at the source."""
+    if len(path) < 2:
+        return 0.0
+    hops = len(path) - 1
+    return hops * (1.0 + network.queue_length(path[0], path[1]))
+
+
+def reference_path_cost_global(path, network):
+    """UGAL-G cost: sum of output-queue lengths along the whole path."""
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        total += network.queue_length(u, v)
+    return len(path) - 1 + total
+
+
 class ReferenceTables:
     """Neighbour-rescanning next-hop sets over a tables' distances."""
 
@@ -299,9 +356,9 @@ def reference_valiant_plan(ref, rng, src, dst, max_hops=None, max_resample=32):
 
 def _reference_pick(cands, network, mode):
     cost = (
-        MinimalRouting.path_cost_local
+        reference_path_cost_local
         if mode == "local"
-        else MinimalRouting.path_cost_global
+        else reference_path_cost_global
     )
     return min(cands, key=lambda p: (cost(p, network), len(p)))
 
@@ -454,7 +511,9 @@ class TestPlannersPinnedToReference:
             rng, ref_rng,
         )
 
-    @pytest.mark.parametrize("max_hops", [None, 3])
+    # max_hops=1: every Valiant path has at least two hops, so all 32
+    # resamples fail and the last path drawn comes back.
+    @pytest.mark.parametrize("max_hops", [None, 3, 1])
     def test_valiant(self, pinned, max_hops):
         topo, tables, pairs, _ = pinned
         ref = ReferenceTables(tables)
@@ -467,18 +526,30 @@ class TestPlannersPinnedToReference:
             r.rng, ref_rng,
         )
 
-    @pytest.mark.parametrize("mode", ["local", "global"])
-    def test_ugal(self, pinned, mode):
+    @staticmethod
+    def _check_ugal(pinned, mode, num_candidates):
         topo, tables, pairs, net = pinned
         ref = ReferenceTables(tables)
-        r = UGALRouting(tables, mode, seed=13)
+        r = UGALRouting(tables, mode, num_candidates=num_candidates, seed=13)
         ref_rng = np.random.default_rng(13)
         _run_pinned(
             pairs,
             lambda s, d: r.plan(s, d, net),
-            lambda s, d: reference_ugal_plan(ref, ref_rng, s, d, net, mode),
+            lambda s, d: reference_ugal_plan(
+                ref, ref_rng, s, d, net, mode, num_candidates
+            ),
             r.rng, ref_rng,
         )
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_ugal(self, pinned, mode):
+        self._check_ugal(pinned, mode, 4)
+
+    # The ablate-ugal grid's other candidate counts.
+    @pytest.mark.parametrize("num_candidates", [1, 2, 8])
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_ugal_candidate_counts(self, pinned, mode, num_candidates):
+        self._check_ugal(pinned, mode, num_candidates)
 
     def test_dragonfly_canonical_path(self, pinned_df):
         topo, tables, pairs, _ = pinned_df
@@ -498,25 +569,36 @@ class TestPlannersPinnedToReference:
         ref_rng = np.random.default_rng(17)
         _run_pinned(
             pairs,
-            r._valiant_group_path,
+            lambda s, d: list(stitch(*next(r._candidates(s, d, 1)))),
             lambda s, d: reference_valiant_group_path(topo, ref, ref_rng, s, d),
             r.rng, ref_rng,
         )
 
-    @pytest.mark.parametrize("mode", ["local", "global"])
-    def test_dragonfly_ugal(self, pinned_df, mode):
+    @staticmethod
+    def _check_dragonfly_ugal(pinned_df, mode, num_candidates):
         topo, tables, pairs, net = pinned_df
         ref = ReferenceTables(tables)
-        r = DragonflyUGAL(topo, tables, mode=mode, seed=19)
+        r = DragonflyUGAL(
+            topo, tables, num_candidates=num_candidates, mode=mode, seed=19
+        )
         ref_rng = np.random.default_rng(19)
         _run_pinned(
             pairs,
             lambda s, d: r.plan(s, d, net),
             lambda s, d: reference_df_ugal_plan(
-                topo, ref, ref_rng, s, d, net, mode
+                topo, ref, ref_rng, s, d, net, mode, num_candidates
             ),
             r.rng, ref_rng,
         )
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_dragonfly_ugal(self, pinned_df, mode):
+        self._check_dragonfly_ugal(pinned_df, mode, 4)
+
+    @pytest.mark.parametrize("num_candidates", [1, 2, 8])
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_dragonfly_ugal_candidate_counts(self, pinned_df, mode, num_candidates):
+        self._check_dragonfly_ugal(pinned_df, mode, num_candidates)
 
     @pytest.mark.parametrize("p", [4, 6])
     @pytest.mark.parametrize("with_network", [True, False])
@@ -579,7 +661,7 @@ class TestTwoRouterValiant:
         assert val.plan(1, 0, None) == [1, 0]
         assert val.rng.bit_generator.state == before
         with pytest.raises(ValueError, match="3 routers"):
-            val.random_intermediate(0, 1)
+            next(val.candidates(0, 1, 1))
         for mode in ("local", "global"):
             ugal = UGALRouting(tables, mode, seed=1)
             assert ugal.plan(0, 1, FakeNetwork()) == [0, 1]

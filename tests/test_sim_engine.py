@@ -3,9 +3,14 @@
 import pytest
 
 from repro.routing import MinimalRouting, RoutingTables, UGALRouting, ValiantRouting
+from repro.routing.fattree_routing import ANCARouting
 from repro.sim import SimConfig, SimEngine, simulate
+from repro.sim.engine import ClosedLoopEngine
+from repro.sim.engine_vec import VecEngine
 from repro.sim.network import SimNetwork
+from repro.topologies import FatTree3
 from repro.traffic import FixedPermutation, UniformRandom
+from repro.workloads.registry import make_placed_workload
 
 QUICK = SimConfig(warmup_cycles=100, measure_cycles=300, drain_cycles=1500, seed=5)
 
@@ -196,3 +201,78 @@ class TestLatencyBreakdown:
         low = simulate(sf5, MinimalRouting(sf5_tables), UniformRandom(200), 0.1, QUICK)
         high = simulate(sf5, MinimalRouting(sf5_tables), UniformRandom(200), 0.85, QUICK)
         assert high.avg_queue_latency > low.avg_queue_latency
+
+
+class TestQueueViews:
+    """The queue views planners read equal the engine's live state."""
+
+    SHORT = SimConfig(warmup_cycles=10, measure_cycles=20, drain_cycles=300, seed=3)
+
+    @staticmethod
+    def _checked_plans(routing, engine, peaks):
+        """Check every plan call's view against ``net.queue_length``."""
+        plan = routing.plan
+        net = engine.net
+        channels = [
+            (u, v) for u, nbrs in enumerate(engine.topology.adjacency) for v in nbrs
+        ]
+
+        def checked(src, dst, view):
+            live = [net.queue_length(u, v) for u, v in channels]
+            assert [view.queue_length(u, v) for u, v in channels] == live
+            peaks.append(max(live))
+            return plan(src, dst, view)
+
+        routing.plan = checked
+
+    def test_flat_open_loop_snapshot(self, sf5, sf5_tables):
+        routing = UGALRouting(sf5_tables, "global", seed=3)
+        engine = SimEngine(
+            sf5, routing, UniformRandom(sf5.num_endpoints), 0.5, self.SHORT
+        )
+        peaks = []
+        self._checked_plans(routing, engine, peaks)
+        engine.run()
+        assert len(peaks) > 1000 and max(peaks) > 0
+
+    # An alltoall posts every send at cycle 0, into an empty network; a
+    # ring allreduce plans each step while earlier steps are in flight.
+    @pytest.mark.parametrize("kind", ["alltoall", "ring-allreduce"])
+    def test_flat_closed_loop_snapshot(self, sf5, sf5_tables, kind):
+        routing = UGALRouting(sf5_tables, "global", seed=3)
+        workload = make_placed_workload(kind, sf5, 16, size_flits=8)
+        engine = ClosedLoopEngine(sf5, routing, workload, self.SHORT)
+        peaks = []
+        self._checked_plans(routing, engine, peaks)
+        result = engine.run()
+        assert result.finished and len(peaks) >= 480
+        assert max(peaks) > 0 or kind == "alltoall"
+
+    def test_vec_anca_live_view(self):
+        topo = FatTree3(6)
+        routing = ANCARouting(topo, seed=0)
+        next_hop = routing.next_hop
+        calls = []
+
+        def checked(at, dst, packet, view):
+            calls.append(at)
+            if len(calls) % 500 == 0:
+                # Mid-scan: grants earlier in this cycle already moved
+                # credits and stage lengths.
+                V, cap = engine.num_vcs, engine._cap
+                credits = engine.credits.reshape(engine.num_channels, V)
+                expected = engine._stage_len + cap * V - credits.sum(axis=1)
+                got = [
+                    view.queue_length(u, v)
+                    for u, v in zip(engine._chan_src.tolist(), engine._chan_dst.tolist())
+                ]
+                assert got == expected.tolist()
+                assert max(got) > 0
+            return next_hop(at, dst, packet, view)
+
+        routing.next_hop = checked
+        engine = VecEngine(
+            topo, routing, UniformRandom(topo.num_endpoints), 0.5, self.SHORT
+        )
+        engine.run()
+        assert len(calls) >= 2000
