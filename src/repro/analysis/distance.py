@@ -2,9 +2,9 @@
 
 All computations run on plain adjacency lists (``list[list[int]]``),
 the lingua franca between the topology classes, the routing tables,
-and the simulator.  Hot paths are delegated to
-:func:`scipy.sparse.csgraph` (C-compiled BFS) per the hpc-parallel
-guides: vectorise/outsource inner loops, keep the Python layer thin.
+and the simulator.  Hot paths are delegated to compiled code: the
+all-pairs matrix (:func:`hop_distances`) to one sparse product per BFS
+level, the per-source sweeps to :func:`scipy.sparse.csgraph` BFS.
 
 For large graphs the exact all-pairs sweep can be replaced by a
 sampled one (``sources=...``) — the estimator used for the biggest
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, shortest_path
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.util.rng import make_rng
 
@@ -53,10 +53,44 @@ def bfs_distances(adjacency: list[list[int]], source: int) -> np.ndarray:
     return dist
 
 
+def hop_distances(adjacency: list[list[int]]) -> np.ndarray:
+    """All-pairs hop distances (int16; −1 where unreachable).
+
+    Level-synchronous BFS from every source at once: column ``s`` of the
+    frontier marks the vertices first reached from ``s`` at the current
+    level, and one sparse product per level (``csr @ frontier``, float32
+    neighbour counts) marks every vertex adjacent to it.  The expansion
+    stops at the first level that reaches nothing new, or as soon as
+    every pair is reached, so a connected graph costs one product per
+    level of its diameter.  Edges count in both directions, as for an
+    undirected graph.
+    """
+    n = len(adjacency)
+    csr = adjacency_to_csr(adjacency).astype(np.float32)
+    csr = csr + csr.T
+    frontier = np.eye(n, dtype=np.float32)
+    unseen = frontier == 0
+    dist = np.zeros((n, n), dtype=np.int16)
+    for level in range(1, n):
+        if not unseen.any():
+            break
+        new = csr @ frontier > 0
+        new &= unseen
+        if not new.any():
+            break
+        np.copyto(dist, level, where=new)
+        unseen ^= new
+        np.copyto(frontier, new)
+    dist[unseen] = -1
+    return dist
+
+
 def distance_matrix(adjacency: list[list[int]]) -> np.ndarray:
     """All-pairs hop distance matrix (float; ``inf`` if disconnected)."""
-    csr = adjacency_to_csr(adjacency)
-    return shortest_path(csr, method="D", unweighted=True, directed=False)
+    hops = hop_distances(adjacency)
+    dist = hops.astype(np.float64)
+    dist[hops < 0] = np.inf
+    return dist
 
 
 def diameter_and_average_distance(

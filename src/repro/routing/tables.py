@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.distance import adjacency_to_csr
+from repro.analysis.distance import hop_distances
 
 
 class RoutingTables:
@@ -25,7 +25,9 @@ class RoutingTables:
     def __init__(self, adjacency: list[list[int]]):
         self.adjacency = adjacency
         self.num_routers = len(adjacency)
-        self.dist = self._all_pairs_distances(adjacency)
+        self.dist = hop_distances(adjacency)
+        if (self.dist < 0).any():
+            raise ValueError("routing tables require a connected topology")
         self._dist_list: list[list[int]] | None = None
         self._next_hop: np.ndarray | None = None
         #: Shortest-path next hops (adjacency order) per visited
@@ -35,17 +37,6 @@ class RoutingTables:
         #: keys (see :meth:`min_legs`).  Filled on first use, never in
         #: the constructor, so building tables stays the BFS alone.
         self._legs: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    @staticmethod
-    def _all_pairs_distances(adjacency: list[list[int]]) -> np.ndarray:
-        """Levelised BFS from every source, vectorised over the frontier."""
-        from scipy.sparse.csgraph import shortest_path
-
-        csr = adjacency_to_csr(adjacency)
-        d = shortest_path(csr, method="D", unweighted=True, directed=False)
-        if np.isinf(d).any():
-            raise ValueError("routing tables require a connected topology")
-        return d.astype(np.int16)
 
     # -- derived tables ---------------------------------------------------
 

@@ -22,6 +22,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from repro.routing.registry import FAULT_AWARE, ROUTING_BUILDERS, SEEDED
 from repro.sim.backends import ENGINE_BACKENDS
 from repro.sim.config import SimConfig
@@ -31,9 +33,66 @@ from repro.traffic.registry import PATTERN_KINDS
 from repro.workloads.registry import PLACEMENT_KINDS, WORKLOAD_KINDS
 
 
+#: A list or tuple of at least this many items, all plain floats, is a
+#: float run: :func:`canonical_json` formats each distinct value once.
+FLOAT_RUN_MIN = 64
+
+
 def canonical_json(data) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON encoding (sorted keys, no whitespace).
+
+    Byte-identical to ``json.dumps(data, sort_keys=True,
+    separators=(",", ":"))``.  A telemetry row holds thousands of
+    channel loads but few distinct values, so a float run that is a
+    top-level value of a dict is encoded by one text per distinct
+    value, joined; everything else goes through ``json.dumps``.
+    """
+    runs = {}
+    if isinstance(data, dict):
+        runs = {key: _float_run(value) for key, value in data.items() if _is_float_run(value)}
+    if not runs:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    # json.dumps's dict encoding: items sorted as (key, value) pairs,
+    # non-string keys coerced to their JSON text.
+    parts = []
+    for key, value in sorted(data.items()):
+        text = runs.get(key)
+        if text is None:
+            text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        parts.append(f"{_key_text(key)}:{text}")
+    return "{" + ",".join(parts) + "}"
+
+
+def _is_float_run(value) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) >= FLOAT_RUN_MIN
+        and set(map(type, value)) == {float}
+    )
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it: always a JSON string."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is not None and not isinstance(key, (int, float)):
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+        )
+    return json.dumps(json.dumps(key))
+
+
+def _float_run(floats) -> str:
+    """A JSON array of plain floats, one ``json.dumps`` text per distinct value.
+
+    Values are told apart by their IEEE-754 bits, so ``0.0`` and
+    ``-0.0`` keep their own texts, and json writes NaN and the
+    infinities as it always does.
+    """
+    bits, where = np.unique(np.array(floats).view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    texts = json.dumps(distinct, separators=(",", ":"))[1:-1].split(",")
+    return "[" + ",".join(np.array(texts, dtype=object)[where].tolist()) + "]"
 
 
 def _campaign_field(row: dict, campaign: str) -> tuple[int, str]:

@@ -60,10 +60,11 @@ Determinism contract (weaker than the cycle engine's bit-exactness,
 stronger than "roughly reproducible"): results are a pure
 single-process function of (topology, routing class + params, traffic,
 loads, config) — no RNG is consumed, no scheduling enters the
-computation — so campaign rows are byte-identical across worker counts
-and reruns.  The cross-fidelity suite (``tests/test_cross_fidelity.py``)
-pins how far flow-level saturation may drift from the cycle engine's
-on small instances.
+computation, and no BLAS call lets a thread count pick a summation
+order — so campaign rows are byte-identical across worker counts,
+reruns and BLAS thread counts.  The cross-fidelity suite
+(``tests/test_cross_fidelity.py``) pins how far flow-level saturation
+may drift from the cycle engine's on small instances.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ SATURATION_RATIO = 0.95
 UTIL_CLIP = 0.995
 #: Water-filling round cap.  Each round freezes at least one flow or
 #: channel, so structured patterns converge in a handful of rounds;
-#: the cap only bounds adversarially unstructured demand.
+#: demand that needs more is an error, never a partial allocation.
 MAX_FILL_ROUNDS = 500
 #: UGAL blend grid: candidate fractions of traffic diverted to the
 #: Valiant path set (fixed grid => deterministic blend choice).
@@ -177,6 +178,27 @@ def _pairs_to_matrix(emap, n, srcs, dsts, rates) -> tuple[np.ndarray, float]:
     return D, float(rates[~inter].sum())
 
 
+def _group_sums(x: np.ndarray, a: int, axis: int) -> np.ndarray:
+    """Sums of ``x`` over consecutive blocks of ``a`` entries along ``axis``.
+
+    ``x`` is 2-D; a Dragonfly group is such a block of routers.  Each
+    total starts at 0.0 and adds the block's members one at a time in
+    index order, vectorised over the other axis: one fixed order on
+    every host.  A matrix product against a one-hot membership matrix
+    would give the same totals up to rounding, but BLAS picks its
+    summation order by thread count and blocking, so its bits would
+    vary with the host.
+    """
+    if axis == 0:
+        members = x.reshape(-1, a, x.shape[1]).transpose(1, 0, 2)
+    else:
+        members = x.reshape(x.shape[0], -1, a).transpose(2, 0, 1)
+    total = np.zeros(members.shape[1:])
+    for member in members:
+        total += member
+    return total
+
+
 # -- flat channel map ---------------------------------------------------------
 
 
@@ -230,13 +252,15 @@ def waterfill(
     array arithmetic in fixed order, no tie-breaking randomness.  A
     saturated channel freezes its flows through a boolean mask over
     the incidence list; a flow crossing several saturated channels is
-    cleared once per crossing, to the same effect.
+    cleared once per crossing, to the same effect.  Raises
+    :class:`RuntimeError` if flows are still active after
+    :data:`MAX_FILL_ROUNDS` rounds.
     """
     rate = np.zeros(len(demands))
     active = demands > 0
     for _ in range(MAX_FILL_ROUNDS):
         if not active.any():
-            break
+            return rate
         act_entries = active[ent_flow]
         load = np.bincount(
             ent_chan, weights=rate[ent_flow], minlength=num_channels
@@ -256,6 +280,11 @@ def waterfill(
         if saturated.any():
             active[ent_flow[act_entries & saturated[ent_chan]]] = False
         active &= demands - rate > 1e-12
+    if active.any():
+        raise RuntimeError(
+            f"water-filling did not converge: {int(active.sum())} flows "
+            f"still active after {MAX_FILL_ROUNDS} rounds"
+        )
     return rate
 
 
@@ -451,7 +480,12 @@ class FlowModel:
     # -- Dragonfly canonical (gateway) path set ----------------------------
 
     def _df_structure(self):
-        """Group membership and the (g x g) gateway-router matrix."""
+        """Group size ``a``, group count ``g`` and the (g x g) gateways.
+
+        Group ``G`` is the contiguous block of routers ``G*a`` to
+        ``G*a + a - 1`` (:meth:`~repro.topologies.Dragonfly.group_of`):
+        the group sums below add over those blocks.
+        """
         topo = self.topology
         if not hasattr(topo, "gateway_router"):
             raise ValueError(
@@ -461,20 +495,12 @@ class FlowModel:
             )
         if not hasattr(self, "_df_groups"):
             g = topo.g
-            group_of = np.fromiter(
-                (topo.group_of(r) for r in range(self.n)),
-                dtype=np.int64,
-                count=self.n,
-            )
             gateways = np.zeros((g, g), dtype=np.int64)
             for g1 in range(g):
                 for g2 in range(g):
                     if g1 != g2:
                         gateways[g1, g2] = topo.gateway_router(g1, g2)
-            #: (n x g) one-hot membership, for group aggregation matmuls.
-            member = np.zeros((self.n, g))
-            member[np.arange(self.n), group_of] = 1.0
-            self._df_groups = (group_of, gateways, member)
+            self._df_groups = (topo.a, g, gateways)
         return self._df_groups
 
     def _df_canonical_loads(self, D: np.ndarray) -> np.ndarray:
@@ -485,34 +511,35 @@ class FlowModel:
         the structure that produces the Dragonfly worst case.  Four
         contributions: intra-group direct hops, the local up-hop to
         the source gateway, the global cable, and the local down-hop
-        from the destination gateway.
+        from the destination gateway.  The group totals come from
+        :func:`_group_sums`, in one fixed order and without BLAS.
         """
-        group_of, gateways, member = self._df_structure()
-        n, g = self.n, member.shape[1]
+        a, g, gateways = self._df_structure()
+        n = self.n
         chan_of = self.cmap.chan_of
         loads = np.zeros(self.cmap.num_channels)
 
         # Intra-group pairs: groups are cliques, one direct local hop.
-        uu, vv = np.nonzero(D)
-        same = group_of[uu] == group_of[vv]
-        if same.any():
-            np.add.at(loads, chan_of[uu[same], vv[same]], D[uu[same], vv[same]])
+        # The diagonal blocks list them in np.nonzero(D)'s row-major order.
+        diag = D.reshape(g, a, g, a)[np.arange(g), :, np.arange(g), :]
+        grp, i, j = np.nonzero(diag)
+        np.add.at(loads, chan_of[grp * a + i, grp * a + j], diag[grp, i, j])
 
         # Router -> destination-group aggregate demand (n x g).
-        M = D @ member
+        M = _group_sums(D, a, axis=1)
         rows = np.repeat(np.arange(n), g)
         dst_groups = np.tile(np.arange(g), n)
-        inter = group_of[rows] != dst_groups
+        inter = rows // a != dst_groups
         rows, dst_groups = rows[inter], dst_groups[inter]
         rates = M[rows, dst_groups]
         nz = rates > 0
         rows, dst_groups, rates = rows[nz], dst_groups[nz], rates[nz]
-        gw_src = gateways[group_of[rows], dst_groups]
+        gw_src = gateways[rows // a, dst_groups]
         up = gw_src != rows  # the gateway itself skips the local hop
         np.add.at(loads, chan_of[rows[up], gw_src[up]], rates[up])
 
         # Global cables: group-pair totals over the single gateway pair.
-        G = member.T @ M
+        G = _group_sums(M, a, axis=0)
         g1, g2 = np.nonzero(G)
         off = g1 != g2
         g1, g2 = g1[off], g2[off]
@@ -521,15 +548,15 @@ class FlowModel:
         )
 
         # Source-group -> router aggregate demand (g x n), down-hops.
-        T = member.T @ D
+        T = _group_sums(D, a, axis=0)
         src_groups = np.repeat(np.arange(g), n)
         cols = np.tile(np.arange(n), g)
-        inter = src_groups != group_of[cols]
+        inter = src_groups != cols // a
         src_groups, cols = src_groups[inter], cols[inter]
         rates = T[src_groups, cols]
         nz = rates > 0
         src_groups, cols, rates = src_groups[nz], cols[nz], rates[nz]
-        gw_dst = gateways[group_of[cols], src_groups]
+        gw_dst = gateways[cols // a, src_groups]
         down = gw_dst != cols
         np.add.at(loads, chan_of[gw_dst[down], cols[down]], rates[down])
         return loads
@@ -543,14 +570,11 @@ class FlowModel:
         the endpoint groups is an O(1/g) correction and dropped; leg
         demand spreads mass-preservingly over all other groups.
         """
-        group_of, gateways, member = self._df_structure()
+        a, g, _ = self._df_structure()
         D, n = self.D, self.n
-        g = member.shape[1]
-        a = n // g  # routers per group (canonical DF is uniform)
         spread = np.full((n, n), 1.0 / max(1, (g - 1) * a))
         # Zero the same-group block: intermediates live in other groups.
-        same = group_of[:, None] == group_of[None, :]
-        spread[same] = 0.0
+        spread.reshape(g, a, g, a)[np.arange(g), :, np.arange(g), :] = 0.0
         D1 = D.sum(axis=1)[:, None] * spread
         D2 = spread * D.sum(axis=0)[None, :]
         return self._df_canonical_loads(D1) + self._df_canonical_loads(D2)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,9 +50,10 @@ CFG = SimConfig(warmup_cycles=50, measure_cycles=100, drain_cycles=400)
 
 # -- reference hot paths --------------------------------------------------------
 # The flow solver's hot paths as first written: per-matrix ECMP passes,
-# Valiant loads recomputed per model, a fresh stable sort per p99 and
-# np.unique to freeze flows.  The optimised paths must reproduce every
-# SimResult field bit for bit against them.
+# Valiant loads recomputed per model, a fresh stable sort per p99,
+# np.unique to freeze flows, and the Dragonfly group totals as explicit
+# loops.  The optimised paths must reproduce every SimResult field bit
+# for bit against them.
 
 
 def reference_waterfill(demands, ent_flow, ent_chan, num_channels,
@@ -76,6 +81,11 @@ def reference_waterfill(demands, ent_flow, ent_chan, num_channels,
             blocked = np.unique(ent_flow[act_entries & saturated[ent_chan]])
             active[blocked] = False
         active &= demands - rate > 1e-12
+    if active.any():
+        raise RuntimeError(
+            f"water-filling did not converge: {int(active.sum())} flows "
+            f"still active after {flowlevel.MAX_FILL_ROUNDS} rounds"
+        )
     return rate
 
 
@@ -116,6 +126,104 @@ def reference_val_unit_loads(model):
     return reference_ecmp_loads(model, D1) + reference_ecmp_loads(model, D2)
 
 
+def reference_df_canonical_loads(model, D):
+    """Canonical DF loads by explicit loops, in the model's fixed order.
+
+    A group total starts at 0.0 and adds its members one at a time in
+    router order.  Channels accumulate the intra-group hops, up-hops,
+    global cables and down-hops in that order, each in row-major order
+    of its (source, destination) pairs, as ``np.add.at`` applies them.
+    """
+    topo = model.topology
+    n, g = model.n, topo.g
+    a = n // g
+    chan_of = model.cmap.chan_of
+    rows = D.tolist()
+    loads = [0.0] * model.cmap.num_channels
+
+    def group_total(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    for u in range(n):
+        for v in range(u // a * a, u // a * a + a):
+            if rows[u][v]:
+                loads[chan_of[u, v]] += rows[u][v]
+    M = [[group_total(rows[u][G * a:G * a + a]) for G in range(g)] for u in range(n)]
+    for u in range(n):
+        for G in range(g):
+            if G != u // a and M[u][G] > 0:
+                gateway = topo.gateway_router(u // a, G)
+                if gateway != u:
+                    loads[chan_of[u, gateway]] += M[u][G]
+    for g1 in range(g):
+        for g2 in range(g):
+            total = group_total(M[u][g2] for u in range(g1 * a, g1 * a + a))
+            if total and g1 != g2:
+                cable = chan_of[topo.gateway_router(g1, g2), topo.gateway_router(g2, g1)]
+                loads[cable] += total
+    for G in range(g):
+        for v in range(n):
+            if G != v // a:
+                total = group_total(rows[u][v] for u in range(G * a, G * a + a))
+                gateway = topo.gateway_router(v // a, G)
+                if total > 0 and gateway != v:
+                    loads[chan_of[gateway, v]] += total
+    return np.asarray(loads)
+
+
+def matrix_product_df_canonical_loads(model, D):
+    """Canonical DF loads with the group totals as matrix products
+    against a one-hot membership matrix, the form the fixed-order sums
+    replaced.  BLAS chooses its summation order (by thread count and
+    blocking), so these agree with the model only up to rounding."""
+    topo = model.topology
+    n, g = model.n, topo.g
+    group_of = np.arange(n) // (n // g)
+    gateways = np.zeros((g, g), dtype=np.int64)
+    for g1 in range(g):
+        for g2 in range(g):
+            if g1 != g2:
+                gateways[g1, g2] = topo.gateway_router(g1, g2)
+    member = np.zeros((n, g))
+    member[np.arange(n), group_of] = 1.0
+    chan_of = model.cmap.chan_of
+    loads = np.zeros(model.cmap.num_channels)
+    uu, vv = np.nonzero(D)
+    same = group_of[uu] == group_of[vv]
+    np.add.at(loads, chan_of[uu[same], vv[same]], D[uu[same], vv[same]])
+    M = D @ member
+    rows = np.repeat(np.arange(n), g)
+    dst_groups = np.tile(np.arange(g), n)
+    inter = group_of[rows] != dst_groups
+    rows, dst_groups = rows[inter], dst_groups[inter]
+    rates = M[rows, dst_groups]
+    nz = rates > 0
+    rows, dst_groups, rates = rows[nz], dst_groups[nz], rates[nz]
+    gw_src = gateways[group_of[rows], dst_groups]
+    up = gw_src != rows
+    np.add.at(loads, chan_of[rows[up], gw_src[up]], rates[up])
+    G = member.T @ M
+    g1, g2 = np.nonzero(G)
+    off = g1 != g2
+    g1, g2 = g1[off], g2[off]
+    np.add.at(loads, chan_of[gateways[g1, g2], gateways[g2, g1]], G[g1, g2])
+    T = member.T @ D
+    src_groups = np.repeat(np.arange(g), n)
+    cols = np.tile(np.arange(n), g)
+    inter = src_groups != group_of[cols]
+    src_groups, cols = src_groups[inter], cols[inter]
+    rates = T[src_groups, cols]
+    nz = rates > 0
+    src_groups, cols, rates = src_groups[nz], cols[nz], rates[nz]
+    gw_dst = gateways[group_of[cols], src_groups]
+    down = gw_dst != cols
+    np.add.at(loads, chan_of[gw_dst[down], cols[down]], rates[down])
+    return loads
+
+
 def reference_weighted_percentile(values, weights, q):
     order = np.argsort(values, kind="stable")
     cum = np.cumsum(weights[order])
@@ -137,8 +245,19 @@ class ReferenceFlowModel(FlowModel):
     def _val_unit_loads(self):
         return reference_val_unit_loads(self)
 
+    def _df_canonical_loads(self, D):
+        return reference_df_canonical_loads(self, D)
+
     def _p99(self, latency, rates):
         return reference_weighted_percentile(latency, rates, 99.0)
+
+
+class MatrixProductFlowModel(FlowModel):
+    """:class:`FlowModel` with the Dragonfly group totals as BLAS
+    matrix products."""
+
+    def _df_canonical_loads(self, D):
+        return matrix_product_df_canonical_loads(self, D)
 
 
 def result_bits(value):
@@ -156,10 +275,14 @@ def result_bits(value):
 
 
 def _solve(model, loads):
-    return [
-        result_bits(model.simulate(load, CFG, TelemetrySpec.full()))
-        for load in loads
-    ]
+    """Each load's result bits, or the text of the error it raised."""
+    solved = []
+    for load in loads:
+        try:
+            solved.append(result_bits(model.simulate(load, CFG, TelemetrySpec.full())))
+        except RuntimeError as exc:
+            solved.append(f"RuntimeError: {exc}")
+    return solved
 
 
 def reference_results(topology, routing, traffic, loads):
@@ -179,6 +302,7 @@ def compare_with_reference(topology, routings, pattern, loads, seed=0):
         params = {"seed": seed} if name in SEEDED else {}
         routing = make_routing(name, topology, tables=tables, **params)
         expected = reference_results(topology, routing, traffic, loads)
+        assert not all(isinstance(e, str) for e in expected), (name, pattern)
         got = _solve(FlowModel(topology, routing, traffic), loads)
         for load, g, e in zip(loads, got, expected):
             assert g == e, (name, pattern, load)
@@ -480,9 +604,85 @@ class TestHotPathsPinnedToReference:
             model.ent_chan,
             model.cmap.num_channels,
         )
-        full = fill()
+        fill()
         monkeypatch.setattr(flowlevel, "MAX_FILL_ROUNDS", 1)
-        assert not np.array_equal(fill(), full)
+        with pytest.raises(RuntimeError, match=r"\d+ flows still active after 1 rounds"):
+            fill()
+
+    def test_unconverged_fill_is_an_error(self):
+        """Uniform MIN on the faulted SF q=7 needs more than
+        MAX_FILL_ROUNDS distinct rate levels at load 1.3: the solve
+        raises instead of returning a partial allocation."""
+        topology = _pinned_topology("SF-q7-faulted")
+        model = FlowModel(
+            topology,
+            MinimalRouting(RoutingTables(topology.adjacency)),
+            UniformRandom(topology.num_endpoints),
+        )
+        model.simulate(0.5, CFG)
+        with pytest.raises(RuntimeError, match="flows still active after 500 rounds"):
+            model.simulate(1.3, CFG)
+
+
+class TestDragonflyGroupSums:
+    """The fixed-order group sums agree with the matrix-product form
+    they replaced up to rounding, and their bits do not depend on the
+    BLAS thread count."""
+
+    @pytest.mark.parametrize("pattern", ["uniform", "worstcase", "shift", "bitrev"])
+    def test_matrix_products_agree_to_rounding(self, pattern):
+        topology = _pinned_topology("DF-h3")
+        tables = RoutingTables(topology.adjacency)
+        traffic = make_pattern(pattern, topology, tables=tables, seed=0)
+        for name, attrs in (("df-min", ("unit_loads",)),
+                            ("df-ugal-l", ("min_loads", "val_loads"))):
+            params = {"seed": 0} if name in SEEDED else {}
+            routing = make_routing(name, topology, tables=tables, **params)
+            got = FlowModel(topology, routing, traffic)
+            want = MatrixProductFlowModel(topology, routing, traffic)
+            for attr in attrs:
+                np.testing.assert_allclose(
+                    getattr(got, attr), getattr(want, attr), rtol=1e-12, atol=0
+                )
+            for load in PINNED_LOADS:
+                g, w = got.simulate(load, CFG), want.simulate(load, CFG)
+                assert g.saturated == w.saturated and g.delivered == w.delivered
+                for field in ("accepted_load", "avg_latency", "p99_latency",
+                              "avg_queue_latency"):
+                    a, b = getattr(g, field), getattr(w, field)
+                    assert math.isclose(a, b, rel_tol=1e-12) or (
+                        math.isnan(a) and math.isnan(b)
+                    ), (name, load, field)
+
+    def test_rows_independent_of_blas_threads(self):
+        """DF-UGAL-L on DF h=6 under shift traffic: identical rows at one
+        and two OpenBLAS threads (the thread count is read at import, so
+        each solve runs in its own process)."""
+        script = (
+            "import hashlib\n"
+            "from repro.routing.registry import make_routing\n"
+            "from repro.sim import SimConfig, TelemetrySpec\n"
+            "from repro.sim.flowlevel import FlowModel\n"
+            "from repro.topologies import Dragonfly\n"
+            "from repro.traffic.registry import make_pattern\n"
+            "df = Dragonfly.balanced(6)\n"
+            "model = FlowModel(df, make_routing('df-ugal-l', df, seed=0),\n"
+            "                  make_pattern('shift', df, seed=0))\n"
+            "rows = [repr(model.simulate(i / 10, SimConfig(), TelemetrySpec.full()))\n"
+            "        for i in range(1, 12)]\n"
+            "print(hashlib.sha256('\\n'.join(rows).encode()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 class TestOrderReuse:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.distance import adjacency_to_csr, distance_matrix
 from repro.analysis.faults import apply_fault
 from repro.routing import (
     ANCARouting,
@@ -77,6 +78,49 @@ class TestTables:
         assert sf5_tables.average_distance() == pytest.approx(
             sf5.average_distance(), rel=1e-6
         )
+
+
+def dijkstra_distances(adjacency):
+    """scipy's unweighted Dijkstra over the undirected graph: the
+    reference the tables' level-synchronous BFS must reproduce."""
+    from scipy.sparse.csgraph import shortest_path
+
+    csr = adjacency_to_csr(adjacency)
+    return shortest_path(csr, method="D", unweighted=True, directed=False)
+
+
+DISTANCE_SHAPES = {
+    "SF-q5": lambda: SlimFly.from_q(5).adjacency,
+    "SF-q7": lambda: SlimFly.from_q(7).adjacency,
+    "DF-h3": lambda: Dragonfly.balanced(3).adjacency,
+    "FT3-p4": lambda: FatTree3(4).adjacency,
+    "SF-q5-faulted": lambda: apply_fault(
+        SlimFly.from_q(5), link_fraction=0.1, seed=0
+    ).adjacency,
+    "two-routers": lambda: [[1], [0]],
+}
+
+
+class TestDistancesMatchDijkstra:
+    @pytest.mark.parametrize("shape", sorted(DISTANCE_SHAPES))
+    def test_tables_and_distance_matrix(self, shape):
+        adjacency = DISTANCE_SHAPES[shape]()
+        reference = dijkstra_distances(adjacency)
+        assert np.isfinite(reference).all()
+        tables = RoutingTables(adjacency)
+        assert tables.dist.dtype == np.int16
+        assert np.array_equal(tables.dist, reference.astype(np.int16))
+        matrix = distance_matrix(adjacency)
+        assert matrix.dtype == np.float64
+        assert np.array_equal(matrix, reference)
+
+    def test_disconnected_graph(self):
+        adjacency = [[1], [0], [3], [2], []]
+        with pytest.raises(ValueError, match="require a connected topology"):
+            RoutingTables(adjacency)
+        matrix = distance_matrix(adjacency)
+        assert np.array_equal(matrix, dijkstra_distances(adjacency))
+        assert np.isinf(matrix[0, 2]) and matrix[2, 3] == 1
 
 
 class TestMinimal:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.scenarios import (
     Campaign,
@@ -17,7 +19,8 @@ from repro.scenarios import (
     canonical_json,
     scenario_hash,
 )
-from repro.scenarios.spec import splice_campaign, unsplice_campaign
+from repro.scenarios import spec as spec_module
+from repro.scenarios.spec import FLOAT_RUN_MIN, splice_campaign, unsplice_campaign
 from repro.sim.config import SimConfig
 
 CFG = SimConfig(warmup_cycles=20, measure_cycles=60, drain_cycles=200)
@@ -147,6 +150,74 @@ class TestSpliceCampaign:
         row = {"campaign": "old", "row": 0}
         with pytest.raises(ValueError, match="campaign"):
             splice_campaign(canonical_json(row), row, "new")
+
+
+def json_dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+#: Floats a channel-load list may hold, edge cases first: signed zeros,
+#: NaN, the infinities and subnormals.
+RUN_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+     0.1, 1.0 / 3.0, 2.0]
+) | st.floats()
+
+
+@st.composite
+def long_lists(draw):
+    """A list (or tuple) around the float-run length, drawn from a few
+    repeated values; sometimes with ints and bools mixed in."""
+    pool = draw(st.lists(RUN_FLOATS, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pool += draw(st.lists(st.integers() | st.booleans(), min_size=1, max_size=2))
+    size = draw(st.integers(FLOAT_RUN_MIN - 2, 3 * FLOAT_RUN_MIN))
+    rng = draw(st.randoms(use_true_random=False))
+    items = [rng.choice(pool) for _ in range(size)]
+    return tuple(items) if draw(st.booleans()) else items
+
+
+RUN_KEYS = st.sampled_from(["channel_load", "é", "键", "\U0001f600", ""]) | st.text(max_size=6)
+RUN_DOCUMENTS = st.recursive(
+    long_lists() | LEAVES,
+    lambda inner: st.dictionaries(RUN_KEYS, inner, max_size=4),
+    max_leaves=6,
+)
+
+
+class TestFloatRuns:
+    """canonical_json encodes a dict's long all-float lists one
+    distinct value at a time, byte-identical to json.dumps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=RUN_DOCUMENTS)
+    @example(document={"channel_load": [0.0, -0.0] * FLOAT_RUN_MIN})
+    @example(document={"channel_load": [math.nan, -math.inf, 5e-324] * FLOAT_RUN_MIN, "é": {}})
+    @example(document={"x": [1.5] * FLOAT_RUN_MIN + [1], "y": (True,) * FLOAT_RUN_MIN})
+    def test_equals_json_dumps(self, document):
+        assert canonical_json(document) == json_dumps(document)
+
+    def test_non_string_keys_beside_a_run(self):
+        run = [0.25, -0.0] * FLOAT_RUN_MIN
+        for document in ({1.5: run, True: 1, 7: "x", math.inf: {}}, {None: run}):
+            assert canonical_json(document) == json_dumps(document)
+        for bad in ({(1, 2): run}, {"a": run, 1: 2}):
+            with pytest.raises(TypeError):
+                json_dumps(bad)
+            with pytest.raises(TypeError):
+                canonical_json(bad)
+
+    def test_a_metrics_row_takes_the_run_path(self):
+        row = {"accepted": 0.5, "channel_load": [0.0, 0.125, 0.5] * 5000, "cycles": 0}
+        with mock.patch.object(
+            spec_module, "_float_run", wraps=spec_module._float_run
+        ) as run:
+            assert canonical_json(row) == json_dumps(row)
+        assert run.call_count == 1
+        short = {"channel_load": [0.5] * (FLOAT_RUN_MIN - 1)}
+        with mock.patch.object(spec_module, "_float_run") as run:
+            assert canonical_json(short) == json_dumps(short)
+        run.assert_not_called()
 
 
 class TestValidation:
